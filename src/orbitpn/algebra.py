@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .engine import Trace, enabled_set, fire
+from .engine import Trace, _move, enabled_set
 from .model import Environment, Marking, Net, marking_from_vector, marking_vector
 from .multiset import Multiset, SignedMultiset
 
@@ -211,7 +211,7 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
             i += 1
             continue
         for t in options:
-            successor = fire(net, m, t, env, mode)
+            successor = _move(net, m, t)
             j = index.get(successor)
             if j is None:
                 if len(nodes) >= max_states:

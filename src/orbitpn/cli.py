@@ -69,10 +69,6 @@ def _collect_env_at(values: list[str] | None, n_steps: int) -> dict[int, dict[st
     return overrides
 
 
-def _load(path: str) -> Net:
-    return netfile.load_net(path)
-
-
 def _print_events(trace: engine.Trace) -> None:
     for ev in trace.events:
         env_text = ", ".join(f"{k}={v:g}" for k, v in sorted(ev.env_snapshot.items()))
@@ -92,9 +88,6 @@ def cmd_validate(args) -> int:
     path = Path(args.path)
     try:
         net = netfile.parse_net(path.read_text(encoding="utf-8"), default_name=path.stem)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
     except netfile.NetFileError as err:
         print(f"error: {args.path}: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -114,7 +107,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fire(args) -> int:
-    net = _load(args.path)
+    net = netfile.load_net(args.path)
     seq = [t.strip() for t in args.seq.split(",") if t.strip()]
     for t in seq:
         if t not in net.transition_index:
@@ -139,7 +132,7 @@ def cmd_fire(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    net = _load(args.path)
+    net = netfile.load_net(args.path)
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     env = _collect_env(args.env)
@@ -152,7 +145,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_incidence(args) -> int:
-    net = _load(args.path)
+    net = netfile.load_net(args.path)
     matrix = algebra.incidence_matrix(net)
     if args.format == "grid":
         print(algebra.format_incidence(matrix) if matrix.place_ids else "(no places)")
@@ -167,7 +160,7 @@ def cmd_incidence(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    net = _load(args.path)
+    net = netfile.load_net(args.path)
     target = netfile.parse_marking_spec(args.target, net.colors, net.place_ids)
     witness = algebra.check_reachability_condition(net, net.initial_marking, target,
                                                    args.bound)

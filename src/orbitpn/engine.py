@@ -105,6 +105,11 @@ def fire(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset") -
     failure = enabling_failure(net, m, t, env, mode)
     if failure is not None:
         raise NotEnabledError(t, failure)
+    return _move(net, m, t)
+
+
+def _move(net: Net, m: Marking, t: str) -> Marking:
+    """The token move of firing `t` at `m`; the caller has checked that `t` is enabled."""
     assignment = m.as_dict()
     for place, called in net.inputs[t]:
         assignment[place] = assignment[place] - called
@@ -135,7 +140,7 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
         if failure is not None:
             prefix = Trace(net.name, m0, tuple(events))
             raise NotEnabledError(t, failure, step=k, trace=prefix)
-        m = fire(net, m, t, env, mode)
+        m = _move(net, m, t)
         events.append(FiringEvent(k, t, dict(env), m))
     return Trace(net.name, m0, tuple(events))
 
@@ -149,21 +154,13 @@ def step(net: Net, m: Marking, env: Environment, policy: str = "sweep",
     after the first firing.  An empty fired list means quiescence (deadlock
     under the given environment), which is a normal outcome.
     """
-    if policy not in ("sweep", "single"):
-        raise ValueError(f"unknown policy {policy!r}; expected 'sweep' or 'single'")
-    fired: list[str] = []
-    for t in net.transition_ids:
-        if enabled(net, m, t, env, mode):
-            m = fire(net, m, t, env, mode)
-            fired.append(t)
-            if policy == "single":
-                break
-    return m, fired
+    trace = simulate(net, m, env, 1, policy, mode)
+    return trace.final, [ev.transition for ev in trace.events]
 
 
 def simulate(net: Net, m0: Marking, env: Environment, steps: int,
              policy: str = "sweep", mode: str = "subset") -> Trace:
-    """Drive `step` up to `steps` times, halting early on quiescence."""
+    """Run up to `steps` steps (see `step`), halting early on quiescence."""
     if policy not in ("sweep", "single"):
         raise ValueError(f"unknown policy {policy!r}; expected 'sweep' or 'single'")
     events: list[FiringEvent] = []
@@ -173,7 +170,7 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
         fired_any = False
         for t in net.transition_ids:
             if enabled(net, m, t, env, mode):
-                m = fire(net, m, t, env, mode)
+                m = _move(net, m, t)
                 k += 1
                 events.append(FiringEvent(k, t, dict(env), m))
                 fired_any = True

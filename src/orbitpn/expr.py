@@ -24,6 +24,7 @@ entries computed by the algebra layer.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -105,6 +106,11 @@ class OrExpr:
 GuardExpr = Union[TrueLiteral, Comparison, NotExpr, AndExpr, OrExpr]
 
 TRUE = TrueLiteral()
+
+#: Most parenthesis groups nested in one another, and most operator levels in a
+#: guard tree; evaluation and rendering recurse once per level.
+MAX_GUARD_DEPTH = 100
+_TOO_DEEP = f"guard nested more than {MAX_GUARD_DEPTH} levels deep"
 
 _KEYWORDS = {"true", "and", "or", "not"}
 
@@ -202,6 +208,8 @@ class _GuardParser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.groups = 0
+        self.heights: dict[int, int] = {}  # node id -> height; built nodes stay alive
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", len(self.text))
@@ -213,6 +221,15 @@ class _GuardParser:
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, self.peek()[2])
+
+    def node(self, cls, *parts):
+        """Build one tree node; leaves and operator strings count as height 0."""
+        height = 1 + max(self.heights.get(id(part), 0) for part in parts)
+        if height > MAX_GUARD_DEPTH:
+            raise self.error(_TOO_DEEP)
+        built = cls(*parts)
+        self.heights[id(built)] = height
+        return built
 
     def parse(self) -> GuardExpr:
         if not self.tokens:
@@ -227,21 +244,25 @@ class _GuardParser:
         g = self.and_expr()
         while self.peek()[1] in ("or", "||"):
             self.advance()
-            g = OrExpr(g, self.and_expr())
+            g = self.node(OrExpr, g, self.and_expr())
         return g
 
     def and_expr(self) -> GuardExpr:
         g = self.not_expr()
         while self.peek()[1] in ("and", "&&"):
             self.advance()
-            g = AndExpr(g, self.not_expr())
+            g = self.node(AndExpr, g, self.not_expr())
         return g
 
     def not_expr(self) -> GuardExpr:
-        if self.peek()[1] in ("not", "!"):
+        negations = 0
+        while self.peek()[1] in ("not", "!"):
             self.advance()
-            return NotExpr(self.not_expr())
-        return self.atom()
+            negations += 1
+        g = self.atom()
+        for _ in range(negations):
+            g = self.node(NotExpr, g)
+        return g
 
     def atom(self) -> GuardExpr:
         kind, text, pos = self.peek()
@@ -252,11 +273,15 @@ class _GuardParser:
             return TRUE
         if text == "(":
             self.advance()
+            self.groups += 1
+            if self.groups > MAX_GUARD_DEPTH:
+                raise self.error(_TOO_DEEP)
             g = self.or_expr()
             kind, text, pos = self.peek()
             if text != ")":
                 raise self.error("expected ')'")
             self.advance()
+            self.groups -= 1
             return g
         return self.comparison()
 
@@ -267,19 +292,22 @@ class _GuardParser:
             raise self.error("expected comparison operator")
         self.advance()
         rhs = self.sum_expr()
-        return Comparison(text, lhs, rhs)
+        return self.node(Comparison, text, lhs, rhs)
 
     def sum_expr(self) -> NumExpr:
         e = self.operand()
         while self.peek()[1] in ("+", "-"):
             op = self.advance()[1]
-            e = Arith(op, e, self.operand())
+            e = self.node(Arith, op, e, self.operand())
         return e
 
     def operand(self) -> NumExpr:
         kind, text, pos = self.advance()
         if kind == "number":
-            return NumLit(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is not finite", pos)
+            return NumLit(value)
         if kind == "ident":
             if text in _KEYWORDS:
                 raise ParseError(f"{text!r} is a reserved word", pos)

@@ -20,9 +20,11 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .expr import TRUE, GuardExpr
-from .multiset import Multiset
+from .multiset import FrozenMap, Multiset
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+_EMPTY = Multiset()
 
 #: External scalar bindings read by guards (collision_prob, clock, user variables).
 Environment = Mapping[str, float]
@@ -49,10 +51,10 @@ class Arc:
     weight: Multiset
 
 
-class Marking:
+class Marking(FrozenMap):
     """Assignment of a token multiset to each place; absent place means empty."""
 
-    __slots__ = ("_assignment",)
+    __slots__ = ()
 
     def __init__(self, assignment: Mapping[str, Multiset | Mapping[str, int] | Iterable[str]] = ()):
         acc: dict[str, Multiset] = {}
@@ -60,49 +62,28 @@ class Marking:
             ms = tokens if isinstance(tokens, Multiset) else Multiset(tokens)
             if ms:
                 acc[place] = ms
-        object.__setattr__(self, "_assignment", acc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Marking is immutable")
+        object.__setattr__(self, "_map", acc)
 
     def __getitem__(self, place: str) -> Multiset:
-        return self._assignment.get(place, Multiset())
-
-    def items(self) -> tuple[tuple[str, Multiset], ...]:
-        """Nonempty (place, tokens) pairs sorted by place id."""
-        return tuple(sorted(self._assignment.items()))
+        return self._map.get(place, _EMPTY)
 
     def places(self) -> tuple[str, ...]:
         """Places currently holding at least one token."""
-        return tuple(sorted(self._assignment))
+        return tuple(sorted(self._map))
 
     def as_dict(self) -> dict[str, Multiset]:
-        return dict(self._assignment)
+        return dict(self._map)
 
     def total_tokens(self) -> int:
-        return sum(ms.total() for ms in self._assignment.values())
-
-    def __bool__(self) -> bool:
-        return bool(self._assignment)
+        return sum(ms.total() for ms in self._map.values())
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.places())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Marking):
-            return NotImplemented
-        return self._assignment == other._assignment
-
-    def __hash__(self) -> int:
-        return hash(tuple((p, ms) for p, ms in self.items()))
-
     def __str__(self) -> str:
-        if not self._assignment:
+        if not self._map:
             return "(empty)"
         return ", ".join(f"{p}={ms}" for p, ms in self.items())
-
-    def __repr__(self) -> str:
-        return f"Marking({{{', '.join(f'{p!r}: {ms!r}' for p, ms in self.items())}}})"
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,10 @@
 
 from importlib import resources
 
-from ..netfile import NetFileError, parse_net
-from ..model import Net, validate_net
+from ..netfile import load_net
+from ..model import Net
 
 NAMES = ("swap_infinite", "orbit_classes", "satellite_swap", "debris_disposal")
-
-
-def model_text(name: str) -> str:
-    if name not in NAMES:
-        raise KeyError(f"no bundled model {name!r}; available: {', '.join(NAMES)}")
-    return resources.files(__name__).joinpath(f"{name}.opn").read_text(encoding="utf-8")
 
 
 def model_path(name: str) -> str:
@@ -22,9 +16,4 @@ def model_path(name: str) -> str:
 
 
 def load(name: str) -> Net:
-    net = parse_net(model_text(name), default_name=name)
-    violations = validate_net(net)
-    if violations:
-        raise NetFileError(f"bundled model {name!r} is broken: " + "; ".join(violations),
-                           violations=violations)
-    return net
+    return load_net(model_path(name))

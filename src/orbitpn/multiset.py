@@ -1,10 +1,11 @@
-"""Multisets of token colors, plus the signed variant used by the incidence matrix.
+"""Formal sums of token colors: signed ones, and the multisets among them.
 
-A `Multiset` is a formal sum of color names with positive integer coefficients:
-the content of an orbit and the value of an arc weight expression ("A+C" is the
-multiset {A: 1, C: 1}).  A `SignedMultiset` admits arbitrary integer
-coefficients; incidence-matrix entries such as "y-x" live there.  Both types
-are immutable and hashable, so markings can be used as graph nodes.
+A `SignedMultiset` is a formal sum of color names with integer coefficients;
+incidence-matrix entries such as "y-x" live there.  A `Multiset` is the
+non-negative case: the content of an orbit and the value of an arc weight
+expression ("A+C" is the multiset {A: 1, C: 1}).  Both types are immutable
+and hashable, so markings can be used as graph nodes.  The two types never
+compare equal and do not mix under `+` or `-`.
 """
 
 from __future__ import annotations
@@ -12,30 +13,99 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping
 
 
-def _format_terms(items: Iterable[tuple[str, int]], signed: bool) -> str:
-    """Canonical text for a formal sum; positives before negatives, names sorted."""
-    positives = sorted((c, n) for c, n in items if n > 0)
-    negatives = sorted((c, n) for c, n in items if n < 0)
-    if not positives and not negatives:
-        return "0"
-    parts: list[str] = []
-    for color, n in positives + negatives:
-        magnitude = abs(n)
-        term = color if magnitude == 1 else f"{magnitude}{color}"
-        if not parts:
-            parts.append(term if n > 0 else f"-{term}")
-        else:
-            parts.append(f"+{term}" if n > 0 else f"-{term}")
-    text = "".join(parts)
-    if not signed and text.startswith("-"):
-        raise ValueError("negative coefficient in unsigned multiset")
-    return text
+class FrozenMap:
+    """Immutable value over a dict with key-sorted items (formal sums, `Marking`).
+
+    Instances of different classes never compare equal, even with equal contents.
+    """
+
+    __slots__ = ("_map",)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def items(self) -> tuple:
+        """(key, value) pairs sorted by key."""
+        return tuple(sorted(self._map.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._map)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._map == other._map
+
+    def __hash__(self) -> int:
+        return hash(self.items())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
-class Multiset:
+class SignedMultiset(FrozenMap):
+    """Formal sum of colors with integer coefficients; zero terms are not stored."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: Mapping[str, int] = ()):
+        acc = {c: n for c, n in dict(coeffs).items() if n}
+        object.__setattr__(self, "_map", acc)
+
+    @classmethod
+    def from_multiset(cls, ms: "Multiset", sign: int = 1) -> "SignedMultiset":
+        return cls({c: sign * n for c, n in ms.items()})
+
+    @classmethod
+    def difference(cls, plus: "Multiset", minus: "Multiset") -> "SignedMultiset":
+        """plus - minus as a signed sum (how incidence entries are built)."""
+        acc = {c: n for c, n in plus.items()}
+        for c, n in minus.items():
+            acc[c] = acc.get(c, 0) - n
+        return cls(acc)
+
+    def coefficient(self, color: str) -> int:
+        return self._map.get(color, 0)
+
+    def is_zero(self) -> bool:
+        return not self._map
+
+    def __add__(self, other: "SignedMultiset") -> "SignedMultiset":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        acc = dict(self._map)
+        for c, n in other._map.items():
+            acc[c] = acc.get(c, 0) + n
+        return self.__class__(acc)
+
+    def __sub__(self, other: "SignedMultiset") -> "SignedMultiset":
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self) -> "SignedMultiset":
+        return SignedMultiset({c: -n for c, n in self._map.items()})
+
+    def scale(self, k: int) -> "SignedMultiset":
+        return SignedMultiset({c: k * n for c, n in self._map.items()})
+
+    def to_multiset(self) -> "Multiset":
+        """Back to an unsigned multiset; raises ValueError if any coefficient is negative."""
+        return Multiset(self._map)
+
+    def __str__(self) -> str:
+        """Canonical text: positive terms before negative ones, each run sorted by color."""
+        text = ""
+        for color, n in sorted(self._map.items(), key=lambda term: (term[1] < 0, term[0])):
+            sign = "-" if n < 0 else "+" if text else ""
+            text += sign + (color if abs(n) == 1 else f"{abs(n)}{color}")
+        return text or "0"
+
+
+class Multiset(SignedMultiset):
     """Immutable multiset of color names; every stored count is >= 1."""
 
-    __slots__ = ("_counts",)
+    __slots__ = ()
 
     def __init__(self, counts: Mapping[str, int] | Iterable[str] = ()):
         acc: dict[str, int] = {}
@@ -45,62 +115,36 @@ class Multiset:
                 raise ValueError(f"negative multiplicity {n} for color {color!r}")
             if n:
                 acc[color] = acc.get(color, 0) + n
-        object.__setattr__(self, "_counts", acc)
+        object.__setattr__(self, "_map", acc)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Multiset is immutable")
-
-    def count(self, color: str) -> int:
-        return self._counts.get(color, 0)
-
-    def items(self) -> tuple[tuple[str, int], ...]:
-        """(color, count) pairs sorted by color name."""
-        return tuple(sorted(self._counts.items()))
+    count = SignedMultiset.coefficient
 
     def colors(self) -> tuple[str, ...]:
-        return tuple(sorted(self._counts))
+        return tuple(sorted(self._map))
 
     def total(self) -> int:
         """Number of tokens counted with multiplicity."""
-        return sum(self._counts.values())
+        return sum(self._map.values())
 
     def __contains__(self, color: str) -> bool:
-        return color in self._counts
+        return color in self._map
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.colors())
 
-    def __bool__(self) -> bool:
-        return bool(self._counts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        return self._counts == other._counts
-
-    def __hash__(self) -> int:
-        return hash(self.items())
-
     def __le__(self, other: "Multiset") -> bool:
         """Multiset containment: every count of self is covered by other."""
-        if not isinstance(other, Multiset):
+        if other.__class__ is not Multiset:
             return NotImplemented
-        return all(other.count(c) >= n for c, n in self._counts.items())
-
-    def __add__(self, other: "Multiset") -> "Multiset":
-        if not isinstance(other, Multiset):
-            return NotImplemented
-        acc = dict(self._counts)
-        for c, n in other._counts.items():
-            acc[c] = acc.get(c, 0) + n
-        return Multiset(acc)
+        held = other._map
+        return all(held.get(c, 0) >= n for c, n in self._map.items())
 
     def __sub__(self, other: "Multiset") -> "Multiset":
         """Remove other's tokens; raises if any count would go negative."""
-        if not isinstance(other, Multiset):
+        if other.__class__ is not Multiset:
             return NotImplemented
-        acc = dict(self._counts)
-        for c, n in other._counts.items():
+        acc = dict(self._map)
+        for c, n in other._map.items():
             left = acc.get(c, 0) - n
             if left < 0:
                 raise ValueError(f"cannot remove {n} of {c!r}: only {acc.get(c, 0)} present")
@@ -109,89 +153,3 @@ class Multiset:
             else:
                 acc.pop(c, None)
         return Multiset(acc)
-
-    def __str__(self) -> str:
-        return _format_terms(self._counts.items(), signed=False)
-
-    def __repr__(self) -> str:
-        return f"Multiset({dict(self.items())!r})"
-
-
-class SignedMultiset:
-    """Formal sum of colors with integer coefficients; zero terms are not stored."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[str, int] = ()):
-        acc = {c: n for c, n in dict(coeffs).items() if n}
-        object.__setattr__(self, "_coeffs", acc)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedMultiset is immutable")
-
-    @classmethod
-    def from_multiset(cls, ms: Multiset, sign: int = 1) -> "SignedMultiset":
-        return cls({c: sign * n for c, n in ms.items()})
-
-    @classmethod
-    def difference(cls, plus: Multiset, minus: Multiset) -> "SignedMultiset":
-        """plus - minus as a signed sum (how incidence entries are built)."""
-        acc = {c: n for c, n in plus.items()}
-        for c, n in minus.items():
-            acc[c] = acc.get(c, 0) - n
-        return cls(acc)
-
-    def coefficient(self, color: str) -> int:
-        return self._coeffs.get(color, 0)
-
-    def items(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self._coeffs.items()))
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedMultiset):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.items())
-
-    def __add__(self, other: "SignedMultiset") -> "SignedMultiset":
-        if not isinstance(other, SignedMultiset):
-            return NotImplemented
-        acc = dict(self._coeffs)
-        for c, n in other._coeffs.items():
-            acc[c] = acc.get(c, 0) + n
-        return SignedMultiset(acc)
-
-    def __sub__(self, other: "SignedMultiset") -> "SignedMultiset":
-        if not isinstance(other, SignedMultiset):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "SignedMultiset":
-        return SignedMultiset({c: -n for c, n in self._coeffs.items()})
-
-    def scale(self, k: int) -> "SignedMultiset":
-        return SignedMultiset({c: k * n for c, n in self._coeffs.items()})
-
-    def to_multiset(self) -> Multiset:
-        """Back to an unsigned multiset; raises if any coefficient is negative."""
-        for c, n in self._coeffs.items():
-            if n < 0:
-                raise ValueError(f"coefficient of {c!r} is negative ({n})")
-        return Multiset(self._coeffs)
-
-    def __str__(self) -> str:
-        return _format_terms(self._coeffs.items(), signed=True)
-
-    def __repr__(self) -> str:
-        return f"SignedMultiset({dict(self.items())!r})"
-
-
-ZERO = SignedMultiset()

@@ -30,7 +30,16 @@ from .multiset import Multiset
 
 
 class ReplayError(ValueError):
-    pass
+    """A trace document is malformed, names another net, or does not replay."""
+
+
+def _field(record: dict, key: str, step: int | None = None):
+    """record[key], or a ReplayError naming the key and the 1-based event step."""
+    try:
+        return record[key]
+    except KeyError:
+        where = "document" if step is None else f"step {step}"
+        raise ReplayError(f"{where}: missing {key!r}") from None
 
 
 def marking_to_strings(m: Marking) -> dict[str, str]:
@@ -71,17 +80,17 @@ def trace_document(net: Net, trace: Trace, mode: str = "subset",
 
 
 def trace_from_document(doc: dict, colors) -> Trace:
-    initial = marking_from_strings(doc["initial"], colors)
+    initial = marking_from_strings(_field(doc, "initial"), colors)
     events = tuple(
         FiringEvent(
-            step=ev["step"],
-            transition=ev["transition"],
-            env_snapshot={k: float(v) for k, v in ev["env"].items()},
-            marking_after=marking_from_strings(ev["marking"], colors),
+            step=_field(ev, "step", k),
+            transition=_field(ev, "transition", k),
+            env_snapshot={n: float(v) for n, v in _field(ev, "env", k).items()},
+            marking_after=marking_from_strings(_field(ev, "marking", k), colors),
         )
-        for ev in doc["events"]
+        for k, ev in enumerate(_field(doc, "events"), start=1)
     )
-    return Trace(doc["net"], initial, events)
+    return Trace(_field(doc, "net"), initial, events)
 
 
 def write_trace(path, doc: dict) -> None:
@@ -95,19 +104,24 @@ def read_trace(path) -> dict:
 def replay(net: Net, doc: dict) -> Marking:
     """Re-fire every event of the document and return the resulting marking.
 
-    Raises ReplayError if any recorded intermediate or final marking differs
-    from what the engine reproduces.
+    Raises ReplayError if the document lacks a field, is for another net,
+    names an unknown transition, or records an intermediate or final marking
+    that differs from what the engine reproduces.
     """
+    trace = trace_from_document(doc, net.colors)
+    if trace.net_name != net.name:
+        raise ReplayError(f"document is for net {trace.net_name!r}, not {net.name!r}")
     mode = doc.get("mode", "subset")
-    m = marking_from_strings(doc["initial"], net.colors)
-    for ev in doc["events"]:
-        m = fire(net, m, ev["transition"], ev["env"], mode)
-        recorded = marking_from_strings(ev["marking"], net.colors)
-        if m != recorded:
+    m = trace.initial
+    for ev in trace.events:
+        if ev.transition not in net.transition_index:
+            raise ReplayError(f"step {ev.step}: unknown transition {ev.transition!r}")
+        m = fire(net, m, ev.transition, ev.env_snapshot, mode)
+        if m != ev.marking_after:
             raise ReplayError(
-                f"step {ev['step']}: replay produced {m}, document records {recorded}"
+                f"step {ev.step}: replay produced {m}, document records {ev.marking_after}"
             )
-    final = marking_from_strings(doc["final"], net.colors)
+    final = marking_from_strings(_field(doc, "final"), net.colors)
     if m != final:
         raise ReplayError(f"final marking diverges: replay {m}, document {final}")
     return m

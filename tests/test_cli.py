@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,22 @@ class TestValidate:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.opn"))
         assert code == 2
+
+    @pytest.mark.parametrize("guard", [
+        "(" * 1500 + "a > 1" + ")" * 1500,
+        "not " * 3000 + "a > 1",
+        " and ".join(["a > 1"] * 1500),
+        " + ".join(["a"] * 1500) + " > 1",
+    ], ids=["parentheses", "not", "and", "sum"])
+    @pytest.mark.parametrize("command", [["validate"], ["fire", "--seq", "t1"]])
+    def test_deep_guard_exit_2(self, capsys, tmp_path, guard, command):
+        path = tmp_path / "deep.opn"
+        path.write_text(f"[colors]\nx\n[places]\nP1 +\n[transitions]\nt1 : {guard}\n"
+                        "[arcs]\nP1 -> t1 : x\n[marking]\nP1 = x\n")
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert err.startswith("error:") and "nested more than" in err
+        assert "Traceback" not in out + err
 
 
 class TestFire:
@@ -311,3 +328,32 @@ class TestTraceDocuments:
         doc["final"] = {"P1": "x", "P2": "y"}
         with pytest.raises(trace_io.ReplayError):
             trace_io.replay(net, doc)
+
+    # (damage, error message, whether trace_from_document reads the damaged part)
+    @pytest.mark.parametrize("damage, message, in_trace", [
+        (lambda doc: doc.pop("initial"), "document: missing 'initial'", True),
+        (lambda doc: doc.pop("events"), "document: missing 'events'", True),
+        (lambda doc: doc.pop("final"), "document: missing 'final'", False),
+        (lambda doc: doc.pop("net"), "document: missing 'net'", True),
+        (lambda doc: doc["events"][1].pop("env"), "step 2: missing 'env'", True),
+        (lambda doc: doc["events"][0].pop("marking"), "step 1: missing 'marking'", True),
+        (lambda doc: doc["events"][1].pop("transition"), "step 2: missing 'transition'", True),
+        (lambda doc: doc["events"][1].update(transition="t9"), "step 2: unknown transition 't9'",
+         False),
+        (lambda doc: doc.update(net="other"), "for net 'other', not 'satellite_swap'", False),
+    ], ids=["initial", "events", "final", "net", "env", "marking", "transition",
+            "unknown-transition", "other-net"])
+    def test_bad_document_replay_error(self, capsys, tmp_path, damage, message, in_trace):
+        out_file = tmp_path / "trace.json"
+        run(
+            capsys, "fire", models.model_path("satellite_swap"),
+            "--seq", "t1,t2", *SATSAT_ARGS, "--out", str(out_file),
+        )
+        net = load_net(models.model_path("satellite_swap"))
+        doc = trace_io.read_trace(out_file)
+        damage(doc)
+        with pytest.raises(trace_io.ReplayError, match=re.escape(message)):
+            trace_io.replay(net, doc)
+        if in_trace:
+            with pytest.raises(trace_io.ReplayError, match=re.escape(message)):
+                trace_io.trace_from_document(doc, net.colors)

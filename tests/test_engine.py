@@ -238,3 +238,35 @@ class TestSimulate:
     def test_zero_steps(self, swap_net):
         trace = simulate(swap_net, swap_net.initial_marking, {}, 0)
         assert trace.events == ()
+
+
+class TestMergedPathsAgree:
+    """simulate, step, fire_sequence and fire share one move; check them against each other."""
+
+    @given(net=nets(), policy=st.sampled_from(("sweep", "single")),
+           mode=st.sampled_from(("subset", "exact")), steps=st.integers(0, 4))
+    def test_simulate_is_chained_step_and_fire(self, net, policy, mode, steps):
+        trace = simulate(net, net.initial_marking, {}, steps, policy, mode)
+        chained, m = [], net.initial_marking
+        for _ in range(steps):
+            m, fired = step(net, m, {}, policy, mode)
+            if not fired:
+                break
+            chained += fired
+        assert [ev.transition for ev in trace.events] == chained
+        assert [ev.step for ev in trace.events] == list(range(1, len(chained) + 1))
+        m = net.initial_marking
+        for ev in trace.events:
+            m = fire(net, m, ev.transition, {}, mode)
+            assert ev.marking_after == m
+        assert trace.final == m
+
+    @given(net=nets(), data=st.data())
+    def test_fire_sequence_is_chained_fire(self, net, data):
+        seq, _ = executable_walk(net, data)
+        trace = fire_sequence(net, net.initial_marking, seq, [{}] * len(seq))
+        m = net.initial_marking
+        for t, ev in zip(seq, trace.events):
+            m = fire(net, m, t, {})
+            assert ev.marking_after == m
+        assert len(trace.events) == len(seq)

@@ -19,6 +19,7 @@ from orbitpn import (
     render_guard,
     render_weight_expr,
 )
+from orbitpn.expr import MAX_GUARD_DEPTH
 from strategies import color_lists, guards, identifiers, multisets_over
 
 COLORS = ("A", "B", "C", "D", "x", "y", "S")
@@ -116,9 +117,24 @@ class TestParseGuard:
                 parse_guard(bad)
 
     def test_error_position_at_or_before_offense(self):
-        with pytest.raises(ParseError) as exc:
-            parse_guard("clock > $")
-        assert exc.value.position == 8
+        for text, offset in (("clock > $", 8), ("x < 1e999", 4)):
+            with pytest.raises(ParseError) as exc:
+                parse_guard(text)
+            assert exc.value.position == offset
+
+    def test_nesting_depth_bounded(self):
+        n = MAX_GUARD_DEPTH
+        nested = ["(" * k + "a > 1" + ")" * k for k in (n, n + 1, 1500)]
+        negated = ["not " * (k - 1) + "a > 1" for k in (n, n + 1, 3001)]
+        chained = [" and ".join(["a > 1"] * k) for k in (n, n + 1, 1500)]
+        summed = [" + ".join(["a"] * k) + " > 1" for k in (n, n + 1, 1500)]
+        for at_limit, over, far_over in (nested, negated, chained, summed):
+            g = parse_guard(at_limit)
+            assert parse_guard(render_guard(g)) == g
+            assert eval_guard(g, {"a": 2}) in (True, False)
+            for text in (over, far_over):
+                with pytest.raises(ParseError, match="nested more than"):
+                    parse_guard(text)
 
 
 class TestEvalGuard:

@@ -138,6 +138,15 @@ class TestMarking:
         assert str(Marking()) == "(empty)"
         assert str(Marking({"P2": ["y"], "P1": ["x"]})) == "P1=x, P2=y"
 
+    def test_repr_immutability_and_type(self):
+        m = Marking({"P2": ["y"], "P1": ["x", "x"]})
+        assert repr(m) == "Marking({'P1': Multiset({'x': 2}), 'P2': Multiset({'y': 1})})"
+        assert repr(Marking()) == "Marking({})"
+        assert hash(m) == hash((("P1", Multiset({"x": 2})), ("P2", Multiset({"y": 1}))))
+        assert m != Multiset(["x"]) and Marking() != Multiset()
+        with pytest.raises(AttributeError, match="Marking is immutable"):
+            m._map = {}
+
 
 class TestMarkingVector:
     def test_classifier_initial_vector(self, classes_net):

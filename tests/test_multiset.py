@@ -52,6 +52,28 @@ class TestMultiset:
             m._counts = {}
 
 
+class TestTypeStrictness:
+    def test_never_equal_across_types(self):
+        assert Multiset({"x": 1}) != SignedMultiset({"x": 1})
+        assert SignedMultiset({"x": 1}) != Multiset({"x": 1})
+        assert Multiset() != SignedMultiset()
+
+    @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a - b])
+    def test_no_mixing(self, op):
+        with pytest.raises(TypeError):
+            op(Multiset({"x": 1}), SignedMultiset({"x": 1}))
+        with pytest.raises(TypeError):
+            op(SignedMultiset({"x": 1}), Multiset({"x": 1}))
+
+    def test_repr_names_class(self):
+        assert repr(Multiset({"y": 1, "x": 2})) == "Multiset({'x': 2, 'y': 1})"
+        assert repr(SignedMultiset({"x": -1})) == "SignedMultiset({'x': -1})"
+
+    def test_sub_result_type(self):
+        assert type(Multiset({"x": 2}) - Multiset({"x": 1})) is Multiset
+        assert type(SignedMultiset({"x": 2}) - SignedMultiset({"x": 3})) is SignedMultiset
+
+
 class TestSignedMultiset:
     def test_difference(self):
         d = SignedMultiset.difference(Multiset({"y": 1}), Multiset({"x": 1}))
