@@ -7,15 +7,24 @@ u, and a destination marking Md can only be reachable from M0 if some
 nonnegative integer vector X solves Md - M0 = A*X.  The condition is
 necessary, not sufficient; `reachability_graph` provides the executable
 confirmation by brute-force search.
+
+The incidence matrix here is the presentation form.  The state equation, the
+witness check and the reachability search run over `Net.compiled` (see
+`core`): the net unfolded into one integer slot per (place, color), compiled
+once per net, in which a marking is a tuple of counts and a firing adds an
+integer column.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import mul
 from typing import Sequence
 
-from .engine import Trace, _move, enabled_set
-from .model import Environment, Marking, Net, marking_from_vector, marking_vector
+from .engine import Trace, _check_mode
+from .expr import eval_guard
+from .model import Environment, Marking, Net, marking_vector
 from .multiset import Multiset, SignedMultiset
 
 
@@ -39,7 +48,15 @@ class IncidenceMatrix:
     entries: tuple[tuple[SignedMultiset, ...], ...]  # rows: places, columns: transitions
 
     def entry(self, place: str, transition: str) -> SignedMultiset:
-        return self.entries[self.place_ids.index(place)][self.transition_ids.index(transition)]
+        return self.entries[self._rows[place]][self._columns[transition]]
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {p: i for i, p in enumerate(self.place_ids)}
+
+    @cached_property
+    def _columns(self) -> dict[str, int]:
+        return {t: j for j, t in enumerate(self.transition_ids)}
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -80,35 +97,31 @@ def format_incidence(matrix: IncidenceMatrix) -> str:
     return "\n".join(lines)
 
 
-def _column_sum(matrix: IncidenceMatrix, row: int, u: Sequence[int]) -> SignedMultiset:
-    total = SignedMultiset()
-    for j, count in enumerate(u):
-        if count:
-            total = total + matrix.entries[row][j].scale(count)
-    return total
-
-
 def apply_state_equation(net: Net, m: Marking, u: Sequence[int]) -> Marking:
-    """M + A*u in signed-multiset arithmetic, converted back to a marking.
+    """M + A*u over the compiled slot vector, converted back to a marking.
 
     Raises InfeasibleMarkingError when any color count goes negative: the
     algebraic result is not a marking, i.e. `u` is not executable from `m`.
+    The first negative count is reported, places in declaration order and
+    colors sorted.
     """
     u = tuple(u)
     if len(u) != len(net.transitions):
         raise ValueError(f"firing-count vector has {len(u)} entries, net has {len(net.transitions)} transitions")
     if any(count < 0 for count in u):
         raise ValueError("firing counts must be nonnegative")
-    matrix = incidence_matrix(net)
-    vector = marking_vector(net, m)
-    result: list[Multiset] = []
-    for i, (pid, held) in enumerate(zip(net.place_ids, vector)):
-        total = SignedMultiset.from_multiset(held) + _column_sum(matrix, i, u)
-        for color, coeff in total.items():
-            if coeff < 0:
-                raise InfeasibleMarkingError(pid, color, coeff)
-        result.append(total.to_multiset())
-    return marking_from_vector(net, result)
+    marking_vector(net, m)  # raises KeyError on a place the net lacks
+    view = net.compiled.covering(m)
+    vec = view.encode(m)
+    for count, column in zip(u, view.delta):
+        if count:
+            for slot, d in column:
+                vec[slot] += count * d
+    for slot, n in enumerate(vec):
+        if n < 0:
+            place, color = divmod(slot, view.width)
+            raise InfeasibleMarkingError(net.place_ids[place], view.colors[color], n)
+    return view.decode([vec])[0]
 
 
 def check_reachability_condition(net: Net, m0: Marking, md: Marking,
@@ -120,18 +133,27 @@ def check_reachability_condition(net: Net, m0: Marking, md: Marking,
     solution, or None when no vector within the bound works.  A witness only
     certifies the necessary condition; absence certifies unreachability only
     up to the bound.  Guards are ignored: this is pure algebra.
+
+    Each candidate is tested by integer dot products with the rows of the
+    compiled incidence matrix that some transition touches.
     """
     if max_total_firings < 0:
         raise ValueError("max_total_firings must be nonnegative")
-    matrix = incidence_matrix(net)
-    delta = [
-        SignedMultiset.difference(md_ms, m0_ms)
-        for md_ms, m0_ms in zip(marking_vector(net, md), marking_vector(net, m0))
-    ]
+    marking_vector(net, md)  # raises KeyError on a place the net lacks
+    marking_vector(net, m0)
+    view = net.compiled.covering(m0, md)
+    target = [b - a for a, b in zip(view.encode(m0), view.encode(md))]
     n = len(net.transitions)
+    rows: dict[int, list[int]] = {}
+    for j, column in enumerate(view.delta):
+        for slot, d in column:
+            rows.setdefault(slot, [0] * n)[j] = d
+    if any(d and slot not in rows for slot, d in enumerate(target)):
+        return None  # no firing changes that count
+    equations = [(row, target[slot]) for slot, row in sorted(rows.items())]
 
     def solves(x: tuple[int, ...]) -> bool:
-        return all(_column_sum(matrix, i, x) == delta[i] for i in range(len(delta)))
+        return all(sum(map(mul, row, x)) == want for row, want in equations)
 
     def search(prefix: tuple[int, ...], budget: int) -> tuple[int, ...] | None:
         if len(prefix) == n:
@@ -173,11 +195,12 @@ class ReachabilityGraph:
     deadlocks: tuple[int, ...]               # indices of nodes with nothing enabled
     truncated: bool
 
+    @cached_property
+    def _index(self) -> dict[Marking, int]:
+        return {node: i for i, node in enumerate(self.nodes)}
+
     def index_of(self, m: Marking) -> int | None:
-        for i, node in enumerate(self.nodes):
-            if node == m:
-                return i
-        return None
+        return self._index.get(m)
 
 
 def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
@@ -188,41 +211,22 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     declaration order), so the result is deterministic.  Exploration stops at
     `max_depth` firings or `max_states` distinct markings; `truncated` is set
     when either bound actually cut the search short.
+
+    The search runs over the compiled slot vectors of the net
+    (`CompiledNet.explore`); nodes become `Marking`s once, at the end.
     """
     if max_depth < 0 or max_states < 1:
         raise ValueError("max_depth must be >= 0 and max_states >= 1")
-    nodes: list[Marking] = [m0]
-    depths: list[int] = [0]
-    index: dict[Marking, int] = {m0: 0}
-    edges: list[tuple[int, str, int]] = []
-    deadlocks: list[int] = []
-    truncated = False
-
-    i = 0
-    while i < len(nodes):
-        m = nodes[i]
-        options = enabled_set(net, m, env, mode)
-        if not options:
-            deadlocks.append(i)
-            i += 1
-            continue
-        if depths[i] >= max_depth:
-            truncated = True  # frontier had live transitions beyond the depth bound
-            i += 1
-            continue
-        for t in options:
-            successor = _move(net, m, t)
-            j = index.get(successor)
-            if j is None:
-                if len(nodes) >= max_states:
-                    truncated = True
-                    continue
-                j = len(nodes)
-                nodes.append(successor)
-                depths.append(depths[i] + 1)
-                index[successor] = j
-            edges.append((i, t, j))
-        i += 1
-
-    return ReachabilityGraph(tuple(nodes), tuple(depths), tuple(edges),
+    if net.transitions:
+        _check_mode(mode)
+    # The environment is fixed, so every guard is evaluated once, in
+    # declaration order, as the checks at the first state would: an unbound
+    # variable raises whether or not any transition is token-enabled.
+    guards = [eval_guard(t.guard, env) for t in net.transitions]
+    view = net.compiled.covering(m0)
+    live = [k for k, ok in enumerate(guards) if ok and view.spans[k]]
+    nodes, depths, edges, deadlocks, truncated = view.explore(
+        tuple(view.encode(m0)), live, mode, max_depth, max_states)
+    rest = {p: ms for p, ms in m0.items() if p not in net.place_index}
+    return ReachabilityGraph(tuple(view.decode(nodes, rest)), tuple(depths), tuple(edges),
                              tuple(deadlocks), truncated)

@@ -11,7 +11,6 @@ import argparse
 import json
 import math
 import sys
-from pathlib import Path
 
 from . import algebra, engine, netfile, trace_io
 from .expr import UnboundVariableError
@@ -85,9 +84,8 @@ def _emit_trace(net: Net, trace: engine.Trace, mode: str, out: str | None,
 
 
 def cmd_validate(args) -> int:
-    path = Path(args.path)
     try:
-        net = netfile.parse_net(path.read_text(encoding="utf-8"), default_name=path.stem)
+        net = netfile.read_net(args.path)
     except netfile.NetFileError as err:
         print(f"error: {args.path}: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -152,6 +152,16 @@ class Net:
                 acc[arc.source].append((arc.target, arc.weight))
         return {t: tuple(sorted(pairs)) for t, pairs in acc.items()}
 
+    @cached_property
+    def compiled(self):
+        """The net over integer (place, color) slots (`core.CompiledNet`).
+
+        Built on first use, not at load time; `core` is imported only then,
+        so runs that never need it do not pay to load it.
+        """
+        from .core import CompiledNet
+        return CompiledNet(self)
+
 
 def validate_net(net: Net) -> list[str]:
     """Check every structural rule; returns one message per violation.

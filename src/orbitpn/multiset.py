@@ -49,7 +49,8 @@ class SignedMultiset(FrozenMap):
     __slots__ = ()
 
     def __init__(self, coeffs: Mapping[str, int] = ()):
-        acc = {c: n for c, n in dict(coeffs).items() if n}
+        pairs = coeffs._map if isinstance(coeffs, SignedMultiset) else dict(coeffs)
+        acc = {c: n for c, n in pairs.items() if n}
         object.__setattr__(self, "_map", acc)
 
     @classmethod
@@ -109,7 +110,12 @@ class Multiset(SignedMultiset):
 
     def __init__(self, counts: Mapping[str, int] | Iterable[str] = ()):
         acc: dict[str, int] = {}
-        pairs = counts.items() if isinstance(counts, Mapping) else ((c, 1) for c in counts)
+        if counts.__class__ is dict or isinstance(counts, Mapping):
+            pairs = counts.items()
+        elif isinstance(counts, SignedMultiset):
+            pairs = counts._map.items()
+        else:
+            pairs = ((c, 1) for c in counts)
         for color, n in pairs:
             if n < 0:
                 raise ValueError(f"negative multiplicity {n} for color {color!r}")

@@ -151,10 +151,22 @@ def parse_net(text: str, default_name: str = "net") -> Net:
     )
 
 
+def read_net(path) -> Net:
+    """Read and parse a net file, without validating it."""
+    path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise NetFileError(
+            f"not UTF-8 text: byte 0x{data[err.start]:02x} at byte offset {err.start}"
+        ) from None
+    return parse_net(text, default_name=path.stem)
+
+
 def load_net(path) -> Net:
     """Read, parse, and validate a net file; any violation is an error."""
-    path = Path(path)
-    net = parse_net(path.read_text(encoding="utf-8"), default_name=path.stem)
+    net = read_net(path)
     violations = validate_net(net)
     if violations:
         raise NetFileError(

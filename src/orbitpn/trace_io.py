@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 
 from . import expr
-from .engine import FiringEvent, Trace, enabled_set, fire
+from .engine import FiringEvent, NotEnabledError, Trace, enabled_set, fire
 from .model import Marking, Net
 from .multiset import Multiset
 
@@ -40,6 +40,15 @@ def _field(record: dict, key: str, step: int | None = None):
     except KeyError:
         where = "document" if step is None else f"step {step}"
         raise ReplayError(f"{where}: missing {key!r}") from None
+
+
+def _marking_field(record: dict, key: str, colors, step: int | None = None) -> Marking:
+    """record[key] parsed as a marking, or a ReplayError naming the key or step."""
+    try:
+        return marking_from_strings(_field(record, key, step), colors)
+    except expr.ParseError as err:
+        where = f"document: {key!r}" if step is None else f"step {step}: {key!r}"
+        raise ReplayError(f"{where}: {err}") from None
 
 
 def marking_to_strings(m: Marking) -> dict[str, str]:
@@ -80,13 +89,13 @@ def trace_document(net: Net, trace: Trace, mode: str = "subset",
 
 
 def trace_from_document(doc: dict, colors) -> Trace:
-    initial = marking_from_strings(_field(doc, "initial"), colors)
+    initial = _marking_field(doc, "initial", colors)
     events = tuple(
         FiringEvent(
             step=_field(ev, "step", k),
             transition=_field(ev, "transition", k),
             env_snapshot={n: float(v) for n, v in _field(ev, "env", k).items()},
-            marking_after=marking_from_strings(_field(ev, "marking", k), colors),
+            marking_after=_marking_field(ev, "marking", colors, k),
         )
         for k, ev in enumerate(_field(doc, "events"), start=1)
     )
@@ -105,8 +114,9 @@ def replay(net: Net, doc: dict) -> Marking:
     """Re-fire every event of the document and return the resulting marking.
 
     Raises ReplayError if the document lacks a field, is for another net,
-    names an unknown transition, or records an intermediate or final marking
-    that differs from what the engine reproduces.
+    holds a marking that does not parse, names an unknown transition or one
+    that is not enabled, or records an intermediate or final marking that
+    differs from what the engine reproduces.
     """
     trace = trace_from_document(doc, net.colors)
     if trace.net_name != net.name:
@@ -116,12 +126,15 @@ def replay(net: Net, doc: dict) -> Marking:
     for ev in trace.events:
         if ev.transition not in net.transition_index:
             raise ReplayError(f"step {ev.step}: unknown transition {ev.transition!r}")
-        m = fire(net, m, ev.transition, ev.env_snapshot, mode)
+        try:
+            m = fire(net, m, ev.transition, ev.env_snapshot, mode)
+        except NotEnabledError as err:
+            raise ReplayError(f"step {ev.step}: {err}") from None
         if m != ev.marking_after:
             raise ReplayError(
                 f"step {ev.step}: replay produced {m}, document records {ev.marking_after}"
             )
-    final = marking_from_strings(_field(doc, "final"), net.colors)
+    final = _marking_field(doc, "final", net.colors)
     if m != final:
         raise ReplayError(f"final marking diverges: replay {m}, document {final}")
     return m

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -5,12 +6,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orbitpn import (
+    Arc,
     FiringEvent,
     InfeasibleMarkingError,
     Marking,
     Multiset,
+    Net,
+    Place,
     SignedMultiset,
+    TRUE,
     Trace,
+    Transition,
+    UnboundVariableError,
     apply_state_equation,
     check_reachability_condition,
     enabled_set,
@@ -18,12 +25,16 @@ from orbitpn import (
     fire_sequence,
     firing_counts,
     format_incidence,
+    guard_variables,
     incidence_matrix,
     marking_vector,
+    models,
+    parse_guard,
     reachability_graph,
     verify_sequence_consistency,
 )
-from strategies import nets
+from orbitpn.engine import MODES
+from strategies import guards, nets
 
 sm = SignedMultiset
 
@@ -76,6 +87,81 @@ def closure_oracle(net, m0, env):
 
     explore(m0)
     return seen
+
+
+def reference_graph(net, m0, env, max_depth, max_states, mode):
+    """Independent BFS over the public engine: enabled_set, then fire."""
+    nodes, depths, index = [m0], [0], {m0: 0}
+    edges, deadlocks, truncated = [], [], False
+    for i, m in enumerate(nodes):
+        options = enabled_set(net, m, env, mode)
+        if not options:
+            deadlocks.append(i)
+        elif depths[i] >= max_depth:
+            truncated = True
+        else:
+            for t in options:
+                successor = fire(net, m, t, env, mode)
+                j = index.get(successor)
+                if j is None:
+                    if len(nodes) >= max_states:
+                        truncated = True
+                        continue
+                    j = len(nodes)
+                    nodes.append(successor)
+                    depths.append(depths[i] + 1)
+                    index[successor] = j
+                edges.append((i, t, j))
+    return tuple(nodes), tuple(depths), tuple(edges), tuple(deadlocks), truncated
+
+
+def reference_state_equation(net, m, u):
+    """M + A*u in signed-multiset arithmetic over the public incidence matrix;
+    the first negative (place, color, coefficient), or the resulting marking."""
+    matrix = incidence_matrix(net)
+    result = {}
+    for i, pid in enumerate(net.place_ids):
+        total = SignedMultiset.from_multiset(m[pid])
+        for j, count in enumerate(u):
+            total = total + matrix.entries[i][j].scale(count)
+        for color, coeff in total.items():
+            if coeff < 0:
+                return (pid, color, coeff)
+        result[pid] = total.to_multiset()
+    return Marking(result)
+
+
+def assert_same_graph(net, m0, env, max_depth, max_states, mode):
+    graph = reachability_graph(net, m0, env, max_depth, max_states, mode)
+    nodes, depths, edges, deadlocks, truncated = reference_graph(
+        net, m0, env, max_depth, max_states, mode)
+    assert graph.nodes == nodes
+    assert graph.depths == depths
+    assert graph.edges == edges
+    assert graph.deadlocks == deadlocks
+    assert graph.truncated is truncated
+    assert all(graph.index_of(node) == i for i, node in enumerate(nodes))
+
+
+@st.composite
+def live_nets(draw):
+    """A random net with random guards, an environment binding every guard
+    variable, and a start marking at which each place holds the tokens one of
+    its input arcs calls (plus, sometimes, the random marking's tokens)."""
+    net = draw(nets())
+    marking = {}
+    for pid in net.place_ids:
+        called = [w for t in net.transition_ids for p, w in net.inputs[t] if p == pid]
+        held = net.initial_marking[pid]
+        if called:
+            held = draw(st.sampled_from(called)) + draw(st.sampled_from((Multiset(), held)))
+        marking[pid] = held
+    transitions = tuple(Transition(t.id, draw(st.one_of(st.just(TRUE), guards)))
+                        for t in net.transitions)
+    names = sorted(set().union(*(guard_variables(t.guard) for t in transitions)))
+    env = {name: draw(st.floats(0, 10, allow_nan=False)) for name in names}
+    return dataclasses.replace(net, transitions=transitions,
+                               initial_marking=Marking(marking)), env
 
 
 class TestIncidenceMatrix:
@@ -151,6 +237,64 @@ class TestApplyStateEquation:
     def test_vector_length_checked(self, debris_net):
         with pytest.raises(ValueError):
             apply_state_equation(debris_net, debris_net.initial_marking, (1, 1))
+
+    # (place, color, coefficient) of the first InfeasibleMarkingError for every
+    # u in {0,1,2}^n from the initial marking, as the signed-multiset
+    # implementation of apply_state_equation reported them
+    FIRST_NEGATIVE = {
+        "swap_infinite": {
+            (0, 1): ("P1", "y", -1), (0, 2): ("P1", "y", -2), (1, 2): ("P1", "y", -1),
+            (2, 0): ("P1", "x", -1),
+        },
+        "orbit_classes": {
+            (0, 2): ("P2", "B", -1), (1, 2): ("P2", "B", -1), (2, 0): ("P1", "A", -1),
+            (2, 1): ("P1", "A", -1), (2, 2): ("P1", "A", -1),
+        },
+        "satellite_swap": {
+            (0, 1): ("P1", "y", -1), (0, 2): ("P1", "y", -2), (1, 2): ("P1", "y", -1),
+            (2, 0): ("P1", "x", -1),
+        },
+        "debris_disposal": {
+            (0, 0, 1): ("P4", "D", -1), (0, 0, 2): ("P4", "D", -2), (0, 1, 0): ("P3", "S", -1),
+            (0, 1, 1): ("P3", "S", -1), (0, 1, 2): ("P3", "S", -1), (0, 2, 0): ("P3", "S", -2),
+            (0, 2, 1): ("P3", "S", -2), (0, 2, 2): ("P3", "S", -2), (1, 0, 2): ("P4", "D", -1),
+            (1, 1, 2): ("P4", "D", -1), (1, 2, 0): ("P3", "S", -1), (1, 2, 1): ("P3", "S", -1),
+            (1, 2, 2): ("P3", "S", -1), (2, 0, 0): ("P1", "S", -1), (2, 0, 1): ("P1", "S", -1),
+            (2, 0, 2): ("P1", "S", -1), (2, 1, 0): ("P2", "D", -1), (2, 1, 1): ("P2", "D", -1),
+            (2, 1, 2): ("P2", "D", -1), (2, 2, 0): ("P2", "D", -1), (2, 2, 1): ("P2", "D", -1),
+            (2, 2, 2): ("P2", "D", -1),
+        },
+    }
+
+    @pytest.mark.parametrize("name", models.NAMES)
+    def test_infeasible_fields_unchanged(self, name):
+        net = models.load(name)
+        found = {}
+        for u in itertools.product(range(3), repeat=len(net.transitions)):
+            try:
+                apply_state_equation(net, net.initial_marking, u)
+            except InfeasibleMarkingError as err:
+                found[u] = (err.place, err.color, err.coefficient)
+        assert found == self.FIRST_NEGATIVE[name]
+
+    @given(net=nets(), data=st.data())
+    def test_agrees_with_signed_arithmetic(self, net, data):
+        u = tuple(data.draw(st.lists(st.integers(0, 3), min_size=len(net.transitions),
+                                     max_size=len(net.transitions))))
+        expected = reference_state_equation(net, net.initial_marking, u)
+        try:
+            result = apply_state_equation(net, net.initial_marking, u)
+        except InfeasibleMarkingError as err:
+            result = (err.place, err.color, err.coefficient)
+        assert result == expected
+
+    def test_undeclared_color_in_marking(self, swap_net):
+        m = Marking({"P1": ["x", "q"], "P2": ["y"]})
+        assert apply_state_equation(swap_net, m, (1, 0)) == Marking({"P1": ["y", "q"],
+                                                                     "P2": ["x"]})
+        with pytest.raises(InfeasibleMarkingError) as exc:
+            apply_state_equation(swap_net, m, (2, 0))
+        assert (exc.value.place, exc.value.color, exc.value.coefficient) == ("P1", "x", -1)
 
     @given(net=nets(), data=st.data())
     def test_unit_vector_matches_fire(self, net, data):
@@ -297,6 +441,33 @@ class TestReachabilityGraph:
         a = reachability_graph(debris_net, debris_net.initial_marking, debris_env, 5, 100)
         b = reachability_graph(debris_net, debris_net.initial_marking, debris_env, 5, 100)
         assert a == b
+
+    @given(case=live_nets())
+    def test_agrees_with_reference_bfs(self, case):
+        # every small pair of bounds, so that both truncation paths run
+        net, env = case
+        for mode, max_depth, max_states in itertools.product(MODES, range(5), range(1, 9)):
+            assert_same_graph(net, net.initial_marking, env, max_depth, max_states, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_marking_outside_the_net(self, swap_net, mode):
+        # an undeclared color and an undeclared place, which validate_net rejects
+        m0 = Marking({"P1": ["x", "q"], "P2": ["y"], "P9": ["z"]})
+        assert_same_graph(swap_net, m0, {}, 4, 100, mode)
+
+    def test_unbound_guard_variable_raises_without_tokens(self):
+        # t2's guard reads an unbound variable; nothing is token-enabled at m0
+        net = Net("unbound", ("x",), (Place("P1", 1), Place("P2", -1)),
+                  (Transition("t1"), Transition("t2", parse_guard("clock > 1"))),
+                  (Arc("P2", "t2", Multiset(["x"])),), Marking({"P1": ["x"]}))
+        assert enabled_set(net, net.initial_marking, {"clock": 2.0}) == []
+        with pytest.raises(UnboundVariableError) as exc:
+            reachability_graph(net, net.initial_marking, {}, 5, 100)
+        assert exc.value.name == "clock"
+
+    def test_index_of_absent_marking(self, swap_net):
+        graph = reachability_graph(swap_net, swap_net.initial_marking, {}, 3, 100)
+        assert graph.index_of(Marking({"P1": ["x", "y"]})) is None
 
     def test_every_reachable_marking_has_witness(self, all_nets, satsat_envs, debris_env):
         # necessary-condition soundness over all bundled nets

@@ -51,6 +51,19 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(tmp_path / "absent.opn"))
         assert code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["fire", "--seq", "t1"], ["simulate", "--steps", "1"], ["incidence"],
+        ["reach", "--target", "P1=x", "--bound", "1"],
+    ], ids=lambda command: command[0])
+    def test_not_utf8_exit_2(self, capsys, tmp_path, command):
+        path = tmp_path / "latin1.opn"
+        path.write_bytes(b"[net]\nname = caf\xe9\n")
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert err.startswith("error:") and "byte offset 16" in err
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in out + err
+
     @pytest.mark.parametrize("guard", [
         "(" * 1500 + "a > 1" + ")" * 1500,
         "not " * 3000 + "a > 1",
@@ -341,8 +354,12 @@ class TestTraceDocuments:
         (lambda doc: doc["events"][1].update(transition="t9"), "step 2: unknown transition 't9'",
          False),
         (lambda doc: doc.update(net="other"), "for net 'other', not 'satellite_swap'", False),
+        (lambda doc: doc["initial"].update(P1="q"), "document: 'initial': unknown color 'q'",
+         True),
+        (lambda doc: doc["events"][1].update(transition="t1"),
+         "step 2: transition 't1' not enabled", False),
     ], ids=["initial", "events", "final", "net", "env", "marking", "transition",
-            "unknown-transition", "other-net"])
+            "unknown-transition", "other-net", "undeclared-color", "not-enabled"])
     def test_bad_document_replay_error(self, capsys, tmp_path, damage, message, in_trace):
         out_file = tmp_path / "trace.json"
         run(

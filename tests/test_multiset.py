@@ -13,6 +13,17 @@ class TestMultiset:
         assert Multiset({"x": 0}) == Multiset()
         assert not Multiset({"x": 0})
 
+    def test_built_from_a_multiset_keeps_counts(self):
+        assert Multiset(Multiset({"x": 2, "y": 1})) == Multiset({"x": 2, "y": 1})
+
+    def test_built_from_a_signed_multiset_keeps_counts(self):
+        assert Multiset(SignedMultiset({"x": 3})) == Multiset({"x": 3})
+        assert SignedMultiset(Multiset({"xy": 2})) == SignedMultiset({"xy": 2})
+
+    def test_built_from_a_negative_signed_multiset_rejected(self):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            Multiset(SignedMultiset({"x": 1, "y": -1}))
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             Multiset({"x": -1})

@@ -14,3 +14,5 @@ def test_case_studies_script_runs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.count("state-equation consistent: True") == 4
+    # the whole output, pinned: structure, matrices, traces, witnesses and graph summaries
+    assert result.stdout == (ROOT / "tests" / "case_studies.golden.txt").read_text()
