@@ -18,7 +18,6 @@ integer column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from operator import mul
 from typing import Sequence
 
@@ -48,15 +47,7 @@ class IncidenceMatrix:
     entries: tuple[tuple[SignedMultiset, ...], ...]  # rows: places, columns: transitions
 
     def entry(self, place: str, transition: str) -> SignedMultiset:
-        return self.entries[self._rows[place]][self._columns[transition]]
-
-    @cached_property
-    def _rows(self) -> dict[str, int]:
-        return {p: i for i, p in enumerate(self.place_ids)}
-
-    @cached_property
-    def _columns(self) -> dict[str, int]:
-        return {t: j for j, t in enumerate(self.transition_ids)}
+        return self.entries[self.place_ids.index(place)][self.transition_ids.index(transition)]
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -111,7 +102,7 @@ def apply_state_equation(net: Net, m: Marking, u: Sequence[int]) -> Marking:
     if any(count < 0 for count in u):
         raise ValueError("firing counts must be nonnegative")
     marking_vector(net, m)  # raises KeyError on a place the net lacks
-    view = net.compiled.covering(m)
+    view = net.compiled.covering(net, m)
     vec = view.encode(m)
     for count, column in zip(u, view.delta):
         if count:
@@ -141,7 +132,7 @@ def check_reachability_condition(net: Net, m0: Marking, md: Marking,
         raise ValueError("max_total_firings must be nonnegative")
     marking_vector(net, md)  # raises KeyError on a place the net lacks
     marking_vector(net, m0)
-    view = net.compiled.covering(m0, md)
+    view = net.compiled.covering(net, m0, md)
     target = [b - a for a, b in zip(view.encode(m0), view.encode(md))]
     n = len(net.transitions)
     rows: dict[int, list[int]] = {}
@@ -195,12 +186,11 @@ class ReachabilityGraph:
     deadlocks: tuple[int, ...]               # indices of nodes with nothing enabled
     truncated: bool
 
-    @cached_property
-    def _index(self) -> dict[Marking, int]:
-        return {node: i for i, node in enumerate(self.nodes)}
-
     def index_of(self, m: Marking) -> int | None:
-        return self._index.get(m)
+        for i, node in enumerate(self.nodes):
+            if node == m:
+                return i
+        return None
 
 
 def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
@@ -223,7 +213,7 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     # declaration order, as the checks at the first state would: an unbound
     # variable raises whether or not any transition is token-enabled.
     guards = [eval_guard(t.guard, env) for t in net.transitions]
-    view = net.compiled.covering(m0)
+    view = net.compiled.covering(net, m0)
     live = [k for k, ok in enumerate(guards) if ok and view.spans[k]]
     nodes, depths, edges, deadlocks, truncated = view.explore(
         tuple(view.encode(m0)), live, mode, max_depth, max_states)

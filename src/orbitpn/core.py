@@ -30,15 +30,20 @@ class CompiledNet:
     * ``spans[k]``: (lo, hi, counts) per input arc, the arc's place slots and
       the counts it calls there, for exact mode; empty when the transition
       has no input arc.
+
+    The view holds the net's ids but not the net, so caching it on the `Net`
+    makes no reference cycle.
     """
 
-    __slots__ = ("net", "colors", "column", "width", "pre", "delta", "spans")
+    __slots__ = ("place_ids", "transition_ids", "colors", "column", "width",
+                 "pre", "delta", "spans")
 
     def __init__(self, net: Net, extra_colors: Iterable[str] = ()):
         colors = set(net.colors).union(extra_colors)
         for arc in net.arcs:
             colors.update(arc.weight.colors())
-        self.net = net
+        self.place_ids = net.place_ids
+        self.transition_ids = net.transition_ids
         self.colors = tuple(sorted(colors))
         self.width = width = len(self.colors)
         self.column = column = {c: j for j, c in enumerate(self.colors)}
@@ -63,18 +68,18 @@ class CompiledNet:
             self.delta.append(tuple((s, d) for s, d in sorted(delta.items()) if d))
             self.spans.append(tuple(spans))
 
-    def covering(self, *markings: Marking) -> "CompiledNet":
-        """This view, or a copy widened to the colors the markings hold beyond
-        it (possible only in markings `validate_net` would reject)."""
+    def covering(self, net: Net, *markings: Marking) -> "CompiledNet":
+        """This view of `net`, or a copy widened to the colors the markings
+        hold beyond it (possible only in markings `validate_net` would reject)."""
         held = {c for m in markings for _, ms in m.items() for c in ms.colors()}
         extra = held.difference(self.colors)
-        return CompiledNet(self.net, extra) if extra else self
+        return CompiledNet(net, extra) if extra else self
 
     def encode(self, m: Marking) -> list[int]:
         """Slot counts of `m` at the net's places; other places are ignored."""
         width, column = self.width, self.column
-        vec = [0] * (width * len(self.net.places))
-        for i, pid in enumerate(self.net.place_ids):
+        vec = [0] * (width * len(self.place_ids))
+        for i, pid in enumerate(self.place_ids):
             for color, n in m[pid].items():
                 vec[i * width + column[color]] = n
         return vec
@@ -85,7 +90,7 @@ class CompiledNet:
 
         Equal place contents share one `Multiset` across the whole batch.
         """
-        width, colors, place_ids = self.width, self.colors, self.net.place_ids
+        width, colors, place_ids = self.width, self.colors, self.place_ids
         shared: dict[tuple[int, ...], Multiset] = {}
         out = []
         for vec in vectors:
@@ -99,6 +104,45 @@ class CompiledNet:
             out.append(Marking(assignment))  # drops the empty places
         return out
 
+    def enabled_moves(self, live: Sequence[int], mode: str):
+        """The token test of `engine.enabling_failure` on slot vectors.
+
+        Returns a function from a slot vector to the (transition id, delta
+        column) of each transition of `live` whose input places hold what its
+        arcs call, in the order of `live`.  Guards are not evaluated here.
+        The engine's rule, which this must match: every input place holds a
+        token; in subset mode each arc's call is within its place, and in
+        exact mode each place holds exactly what its arc calls.
+        """
+        ids = self.transition_ids
+        if mode == "exact":
+            # an arc calling no tokens needs a token at its place, so it
+            # never matches exactly: its transition is never enabled
+            exact = [(ids[k], self.spans[k], self.delta[k]) for k in live
+                     if all(any(counts) for _, _, counts in self.spans[k])]
+
+            def moves(m):
+                return [(t, delta) for t, spans, delta in exact
+                        if all(m[lo:hi] == counts for lo, hi, counts in spans)]
+            return moves
+
+        # an arc calling no tokens still needs a token at its place
+        subset = [(ids[k], self.pre[k], self.delta[k],
+                   [(lo, hi) for lo, hi, counts in self.spans[k] if not any(counts)])
+                  for k in live]
+
+        def moves(m):
+            out = []
+            for t, pre, delta, occupied in subset:
+                for slot, n in pre:
+                    if m[slot] < n:
+                        break
+                else:
+                    if not occupied or all(any(m[lo:hi]) for lo, hi in occupied):
+                        out.append((t, delta))
+            return out
+        return moves
+
     def explore(self, start: tuple[int, ...], live: Sequence[int], mode: str,
                 max_depth: int, max_states: int):
         """Breadth-first search from `start` firing only the transitions `live`.
@@ -106,30 +150,7 @@ class CompiledNet:
         Returns (nodes, depths, edges, deadlocks, truncated) as
         `algebra.reachability_graph` defines them, with slot vectors as nodes.
         """
-        ids = self.net.transition_ids
-        if mode == "exact":
-            exact = [(ids[k], self.spans[k], self.delta[k]) for k in live]
-
-            def moves(m):
-                return [(t, delta) for t, spans, delta in exact
-                        if all(m[lo:hi] == counts for lo, hi, counts in spans)]
-        else:
-            # an arc calling no tokens still needs a token at its place
-            subset = [(ids[k], self.pre[k], self.delta[k],
-                       [(lo, hi) for lo, hi, counts in self.spans[k] if not any(counts)])
-                      for k in live]
-
-            def moves(m):
-                out = []
-                for t, pre, delta, occupied in subset:
-                    for slot, n in pre:
-                        if m[slot] < n:
-                            break
-                    else:
-                        if not occupied or all(any(m[lo:hi]) for lo, hi in occupied):
-                            out.append((t, delta))
-                return out
-
+        moves = self.enabled_moves(live, mode)
         nodes: list[tuple[int, ...]] = [start]
         depths: list[int] = [0]
         index: dict[tuple[int, ...], int] = {start: 0}

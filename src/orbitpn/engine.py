@@ -75,6 +75,10 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     The guard is always evaluated, even when token calling already fails, so
     an unbound environment variable surfaces as an error rather than being
     masked by a structural refusal.
+
+    `core.CompiledNet.enabled_moves` is the same token test on slot vectors,
+    used by `algebra.reachability_graph`; a change to the rule here must be
+    made there too (`test_agrees_with_reference_bfs` compares the two).
     """
     _check_mode(mode)
     guard_ok = eval_guard(net.transition(t).guard, env)

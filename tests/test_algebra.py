@@ -147,8 +147,15 @@ def assert_same_graph(net, m0, env, max_depth, max_states, mode):
 def live_nets(draw):
     """A random net with random guards, an environment binding every guard
     variable, and a start marking at which each place holds the tokens one of
-    its input arcs calls (plus, sometimes, the random marking's tokens)."""
+    its input arcs calls (plus, sometimes, the random marking's tokens).
+
+    Some input arcs call no tokens, which `validate_net` rejects but the
+    engine still defines; drawing one makes some places start empty."""
     net = draw(nets())
+    net = dataclasses.replace(net, arcs=tuple(
+        Arc(a.source, a.target, Multiset())
+        if a.target in net.transition_index and draw(st.integers(0, 3)) == 0 else a
+        for a in net.arcs))
     marking = {}
     for pid in net.place_ids:
         called = [w for t in net.transition_ids for p, w in net.inputs[t] if p == pid]
@@ -454,6 +461,18 @@ class TestReachabilityGraph:
         # an undeclared color and an undeclared place, which validate_net rejects
         m0 = Marking({"P1": ["x", "q"], "P2": ["y"], "P9": ["z"]})
         assert_same_graph(swap_net, m0, {}, 4, 100, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("held", [[], ["x"], ["x", "y"]])
+    def test_input_arc_calling_no_tokens(self, mode, held):
+        # an arc calling no tokens needs a token at its place, and in exact
+        # mode it never matches what the place holds
+        net = Net("empty_call", ("x", "y"), (Place("P1", 1), Place("P2", -1)),
+                  (Transition("t1"), Transition("t2")),
+                  (Arc("P1", "t1", Multiset()), Arc("t1", "P2", Multiset(["y"])),
+                   Arc("P2", "t2", Multiset(["y"])), Arc("t2", "P1", Multiset(["x"]))),
+                  Marking({"P1": held}))
+        assert_same_graph(net, net.initial_marking, {}, 4, 100, mode)
 
     def test_unbound_guard_variable_raises_without_tokens(self):
         # t2's guard reads an unbound variable; nothing is token-enabled at m0
