@@ -112,7 +112,7 @@ def apply_state_equation(net: Net, m: Marking, u: Sequence[int]) -> Marking:
         if n < 0:
             place, color = divmod(slot, view.width)
             raise InfeasibleMarkingError(net.place_ids[place], view.colors[color], n)
-    return view.decode([vec])[0]
+    return view.decode([tuple(vec)])[0]
 
 
 def check_reachability_condition(net: Net, m0: Marking, md: Marking,
@@ -214,9 +214,8 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     # variable raises whether or not any transition is token-enabled.
     guards = [eval_guard(t.guard, env) for t in net.transitions]
     view = net.compiled.covering(net, m0)
-    live = [k for k, ok in enumerate(guards) if ok and view.spans[k]]
+    live = [k for k, ok in enumerate(guards) if ok]
     nodes, depths, edges, deadlocks, truncated = view.explore(
         tuple(view.encode(m0)), live, mode, max_depth, max_states)
-    rest = {p: ms for p, ms in m0.items() if p not in net.place_index}
-    return ReachabilityGraph(tuple(view.decode(nodes, rest)), tuple(depths), tuple(edges),
+    return ReachabilityGraph(tuple(view.decode(nodes, m0)), tuple(depths), tuple(edges),
                              tuple(deadlocks), truncated)

@@ -3,8 +3,8 @@
 This is the colour unfolding of the net (Jensen, *Coloured Petri Nets*, 1992)
 written as Murata's integer incidence matrix (Proc. IEEE 77(4), 1989).  A
 marking becomes a vector of counts and a firing adds an integer column, so
-the bulk analyses in `algebra` hash, compare and add plain integers instead
-of formal sums.
+the bulk analyses in `algebra` and the firing loops in `engine` hash,
+compare and add plain integers instead of formal sums.
 
 `Net.compiled` builds a `CompiledNet` on first use and imports this module
 only then: most `opn` runs never need it and do not pay to load it.
@@ -12,9 +12,10 @@ only then: most `opn` runs never need it and do not pay to load it.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .model import Marking, Net
+from .expr import compile_guard
+from .model import Environment, Marking, Net
 from .multiset import Multiset
 
 
@@ -29,14 +30,15 @@ class CompiledNet:
     * ``delta[k]``: the nonzero (slot, d) of the transition's incidence column;
     * ``spans[k]``: (lo, hi, counts) per input arc, the arc's place slots and
       the counts it calls there, for exact mode; empty when the transition
-      has no input arc.
+      has no input arc;
+    * ``guards[k]``: its guard, compiled by `guard` on first use.
 
     The view holds the net's ids but not the net, so caching it on the `Net`
     makes no reference cycle.
     """
 
     __slots__ = ("place_ids", "transition_ids", "colors", "column", "width",
-                 "pre", "delta", "spans")
+                 "pre", "delta", "spans", "guard_exprs", "guards")
 
     def __init__(self, net: Net, extra_colors: Iterable[str] = ()):
         colors = set(net.colors).union(extra_colors)
@@ -44,6 +46,8 @@ class CompiledNet:
             colors.update(arc.weight.colors())
         self.place_ids = net.place_ids
         self.transition_ids = net.transition_ids
+        self.guard_exprs = tuple(t.guard for t in net.transitions)
+        self.guards: list[Callable[[Environment], bool] | None] = [None] * len(self.guard_exprs)
         self.colors = tuple(sorted(colors))
         self.width = width = len(self.colors)
         self.column = column = {c: j for j, c in enumerate(self.colors)}
@@ -84,36 +88,51 @@ class CompiledNet:
                 vec[i * width + column[color]] = n
         return vec
 
-    def decode(self, vectors: Iterable[Sequence[int]],
-               rest: Mapping[str, Multiset] | None = None) -> list[Marking]:
-        """Markings of slot vectors, plus the fixed place contents `rest`.
+    def decode(self, vectors: Iterable[tuple[int, ...]], base: Marking | None = None) -> list[Marking]:
+        """Markings of slot tuples, each with the places of `base` outside the
+        net carried unchanged.
 
         Equal place contents share one `Multiset` across the whole batch.
         """
-        width, colors, place_ids = self.width, self.colors, self.place_ids
+        width, colors = self.width, self.colors
+        places = [(pid, i * width, (i + 1) * width) for i, pid in enumerate(self.place_ids)]
+        rest = {p: ms for p, ms in base.items() if p not in self.place_ids} if base else {}
+        empty = (0,) * width
         shared: dict[tuple[int, ...], Multiset] = {}
         out = []
         for vec in vectors:
-            assignment = dict(rest or {})
-            for i, pid in enumerate(place_ids):
-                counts = tuple(vec[i * width:(i + 1) * width])
-                ms = shared.get(counts)
-                if ms is None:
-                    ms = shared[counts] = Multiset(dict(zip(colors, counts)))
-                assignment[pid] = ms
-            out.append(Marking(assignment))  # drops the empty places
+            assignment = dict(rest)
+            for pid, lo, hi in places:
+                counts = vec[lo:hi]
+                if counts != empty:
+                    ms = shared.get(counts)
+                    if ms is None:
+                        ms = shared[counts] = Multiset(dict(zip(colors, counts)))
+                    assignment[pid] = ms
+            out.append(Marking._of(assignment))
         return out
 
-    def enabled_moves(self, live: Sequence[int], mode: str):
-        """The token test of `engine.enabling_failure` on slot vectors.
+    def guard(self, k: int) -> Callable[[Environment], bool]:
+        """The guard of the k-th transition as a function (`expr.compile_guard`),
+        compiled on first use."""
+        fn = self.guards[k]
+        if fn is None:
+            fn = self.guards[k] = compile_guard(self.guard_exprs[k])
+        return fn
 
-        Returns a function from a slot vector to the (transition id, delta
+    def enabled_moves(self, live: Iterable[int], mode: str):
+        """The token test of `engine.enabling_failure` on slot tuples.
+
+        Returns a function from a slot tuple to the (transition id, delta
         column) of each transition of `live` whose input places hold what its
         arcs call, in the order of `live`.  Guards are not evaluated here.
-        The engine's rule, which this must match: every input place holds a
-        token; in subset mode each arc's call is within its place, and in
-        exact mode each place holds exactly what its arc calls.
+        The engine's rule, which this must match: a transition without input
+        arcs is never enabled; every input place holds a token; in subset mode
+        each arc's call is within its place, and in exact mode each place
+        holds exactly what its arc calls.  The engine's firing loops call it
+        with one transition at a time.
         """
+        live = [k for k in live if self.spans[k]]
         ids = self.transition_ids
         if mode == "exact":
             # an arc calling no tokens needs a token at its place, so it
@@ -143,6 +162,14 @@ class CompiledNet:
             return out
         return moves
 
+    @staticmethod
+    def successor(m: tuple[int, ...], delta: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """The slot tuple `m` plus a delta column."""
+        after = list(m)
+        for slot, d in delta:
+            after[slot] += d
+        return tuple(after)
+
     def explore(self, start: tuple[int, ...], live: Sequence[int], mode: str,
                 max_depth: int, max_states: int):
         """Breadth-first search from `start` firing only the transitions `live`.
@@ -150,7 +177,7 @@ class CompiledNet:
         Returns (nodes, depths, edges, deadlocks, truncated) as
         `algebra.reachability_graph` defines them, with slot vectors as nodes.
         """
-        moves = self.enabled_moves(live, mode)
+        moves, successor = self.enabled_moves(live, mode), self.successor
         nodes: list[tuple[int, ...]] = [start]
         depths: list[int] = [0]
         index: dict[tuple[int, ...], int] = {start: 0}
@@ -167,18 +194,15 @@ class CompiledNet:
                 truncated = True  # frontier had live transitions beyond the depth bound
                 continue
             for t, delta in options:
-                successor = list(m)
-                for slot, d in delta:
-                    successor[slot] += d
-                successor = tuple(successor)
-                j = index.get(successor)
+                after = successor(m, delta)
+                j = index.get(after)
                 if j is None:
                     if len(nodes) >= max_states:
                         truncated = True
                         continue
                     j = len(nodes)
-                    nodes.append(successor)
+                    nodes.append(after)
                     depths.append(depths[i] + 1)
-                    index[successor] = j
+                    index[after] = j
                 edges.append((i, t, j))
         return nodes, depths, edges, deadlocks, truncated

@@ -13,6 +13,11 @@ Two containment readings of "the tokens can be called" are supported:
 * ``exact``  - the place content must equal the called multiset.
 
 Every bundled model behaves identically under both modes.
+
+`enabling_failure` and `fire` state these rules on `Marking`s.  The loops
+`fire_sequence` and `simulate` (and so `step`) run the same rules on the
+compiled net (`Net.compiled`): slot tuples, compiled guards, and markings
+decoded once per call.
 """
 
 from __future__ import annotations
@@ -76,9 +81,10 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     an unbound environment variable surfaces as an error rather than being
     masked by a structural refusal.
 
-    `core.CompiledNet.enabled_moves` is the same token test on slot vectors,
-    used by `algebra.reachability_graph`; a change to the rule here must be
-    made there too (`test_agrees_with_reference_bfs` compares the two).
+    `core.CompiledNet.enabled_moves` is the same token test on slot tuples,
+    used by `algebra.reachability_graph`, `fire_sequence` and `simulate`; a
+    change to the rule here must be made there too (`test_agrees_with_reference_bfs`
+    and the `TestMergedPathsAgree` properties compare them).
     """
     _check_mode(mode)
     guard_ok = eval_guard(net.transition(t).guard, env)
@@ -105,15 +111,14 @@ def enabled(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset"
 
 
 def fire(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset") -> Marking:
-    """Fire `t`, returning the new marking; the input marking is untouched."""
+    """Fire `t`, returning the new marking; the input marking is untouched.
+
+    This is the reference firing on `Marking`s that the compiled loops of
+    `fire_sequence` and `simulate` are tested against.
+    """
     failure = enabling_failure(net, m, t, env, mode)
     if failure is not None:
         raise NotEnabledError(t, failure)
-    return _move(net, m, t)
-
-
-def _move(net: Net, m: Marking, t: str) -> Marking:
-    """The token move of firing `t` at `m`; the caller has checked that `t` is enabled."""
     assignment = m.as_dict()
     for place, called in net.inputs[t]:
         assignment[place] = assignment[place] - called
@@ -127,6 +132,11 @@ def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") ->
     return [t for t in net.transition_ids if enabled(net, m, t, env, mode)]
 
 
+def _token_tests(view, mode: str) -> list:
+    """Per transition index, `view.enabled_moves` for that transition alone."""
+    return [view.enabled_moves([k], mode) for k in range(len(view.transition_ids))]
+
+
 def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
                   envs: Sequence[Environment], mode: str = "subset") -> Trace:
     """Fire the transitions of `seq` in order, one environment snapshot each.
@@ -134,19 +144,35 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
     Fails atomically at the first transition that is not enabled; the raised
     error carries the 1-based step index and the trace of the prefix that did
     execute.
+
+    Runs over the compiled slot tuples of the net (`Net.compiled`) with its
+    compiled guards; markings are decoded once, at the end or at the refusal,
+    and only a refusal calls `enabling_failure`, for its reason.
     """
     if len(seq) != len(envs):
         raise ValueError(f"sequence has {len(seq)} firings but {len(envs)} environments")
-    events: list[FiringEvent] = []
-    m = m0
-    for k, (t, env) in enumerate(zip(seq, envs), start=1):
-        failure = enabling_failure(net, m, t, env, mode)
-        if failure is not None:
-            prefix = Trace(net.name, m0, tuple(events))
-            raise NotEnabledError(t, failure, step=k, trace=prefix)
-        m = _move(net, m, t)
-        events.append(FiringEvent(k, t, dict(env), m))
-    return Trace(net.name, m0, tuple(events))
+    if seq:
+        _check_mode(mode)
+    view = net.compiled.covering(net, m0)
+    tests = _token_tests(view, mode)
+    index = net.transition_index
+    m = tuple(view.encode(m0))
+    vectors = []
+    for t, env in zip(seq, envs):
+        k = index.get(t)
+        move = k is not None and view.guard(k)(env) and tests[k](m)
+        if not move:
+            break
+        m = view.successor(m, move[0][1])
+        vectors.append(m)
+    events = tuple(FiringEvent(k, t, dict(env), after) for k, (t, env, after)
+                   in enumerate(zip(seq, envs, view.decode(vectors, m0)), start=1))
+    trace = Trace(net.name, m0, events)
+    if len(events) < len(seq):
+        t, env = seq[len(events)], envs[len(events)]
+        failure = enabling_failure(net, trace.final, t, env, mode)
+        raise NotEnabledError(t, failure, step=len(events) + 1, trace=trace)
+    return trace
 
 
 def step(net: Net, m: Marking, env: Environment, policy: str = "sweep",
@@ -164,22 +190,32 @@ def step(net: Net, m: Marking, env: Environment, policy: str = "sweep",
 
 def simulate(net: Net, m0: Marking, env: Environment, steps: int,
              policy: str = "sweep", mode: str = "subset") -> Trace:
-    """Run up to `steps` steps (see `step`), halting early on quiescence."""
+    """Run up to `steps` steps (see `step`), halting early on quiescence.
+
+    Runs over the compiled slot tuples like `fire_sequence`.
+    """
     if policy not in ("sweep", "single"):
         raise ValueError(f"unknown policy {policy!r}; expected 'sweep' or 'single'")
-    events: list[FiringEvent] = []
-    m = m0
-    k = 0
+    if steps > 0 and net.transitions:
+        _check_mode(mode)
+    view = net.compiled.covering(net, m0)
+    tests = _token_tests(view, mode)
+    m = tuple(view.encode(m0))
+    fired, vectors = [], []
     for _ in range(steps):
         fired_any = False
-        for t in net.transition_ids:
-            if enabled(net, m, t, env, mode):
-                m = _move(net, m, t)
-                k += 1
-                events.append(FiringEvent(k, t, dict(env), m))
+        for k, test in enumerate(tests):
+            move = view.guard(k)(env) and test(m)
+            if move:
+                t, delta = move[0]
+                m = view.successor(m, delta)
+                fired.append(t)
+                vectors.append(m)
                 fired_any = True
                 if policy == "single":
                     break
         if not fired_any:
             break
-    return Trace(net.name, m0, tuple(events))
+    events = tuple(FiringEvent(k, t, dict(env), after) for k, (t, after)
+                   in enumerate(zip(fired, view.decode(vectors, m0)), start=1))
+    return Trace(net.name, m0, events)

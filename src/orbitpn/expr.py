@@ -28,7 +28,9 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Collection, Mapping, Union
+from types import CodeType, FunctionType
+from typing import Callable, Collection, Mapping, Union
+from weakref import WeakValueDictionary
 
 from .multiset import Multiset
 
@@ -389,6 +391,75 @@ def eval_guard(g: GuardExpr, env: Mapping[str, float]) -> bool:
         rhs = eval_guard(g.rhs, env)
         return (lhs and rhs) if isinstance(g, AndExpr) else (lhs or rhs)
     raise TypeError(f"not a guard expression: {g!r}")
+
+
+# the only operator texts that reach a compiled guard's source; another one
+# is a KeyError, as in `eval_guard`
+_COMPARE_SOURCE = {op: op for op in _COMPARE}
+
+
+def compile_guard(g: GuardExpr) -> Callable[[Mapping[str, float]], bool]:
+    """`g` as one Python function of an environment, equal to `eval_guard(g, env)`.
+
+    The function first reads each variable once, in the order `eval_guard`
+    first reaches it, so it raises the same `UnboundVariableError`, or the
+    same error from ``float()``, for the same environment.  Then it computes
+    the expression as one assignment per tree node, which keeps the source
+    flat however deep the guard is; the expression reads no environment and,
+    over numbers, cannot raise, so no short-circuit is needed.  Variable names and numbers
+    are passed in as tuples and indexed, never written into the source.
+    """
+    names: list[str] = []
+    numbers: list[float] = []
+    body: list[str] = []
+
+    def num(e: NumExpr) -> str:
+        if isinstance(e, NumLit):
+            numbers.append(e.value)
+            return f"_c[{len(numbers) - 1}]"
+        if isinstance(e, VarRef):
+            if e.name not in names:
+                names.append(e.name)
+            return f"v{names.index(e.name)}"
+        lhs, rhs = num(e.lhs), num(e.rhs)
+        return node(f"{lhs} {'+' if e.op == '+' else '-'} {rhs}")
+
+    def node(expression: str) -> str:
+        body.append(f"    x{len(body)} = {expression}")
+        return f"x{len(body) - 1}"
+
+    def guard(e: GuardExpr) -> str:
+        if isinstance(e, TrueLiteral):
+            return "True"
+        if isinstance(e, Comparison):
+            lhs, rhs = num(e.lhs), num(e.rhs)
+            return node(f"{lhs} {_COMPARE_SOURCE[e.op]} {rhs}")
+        if isinstance(e, NotExpr):
+            return node(f"not {guard(e.operand)}")
+        if isinstance(e, (AndExpr, OrExpr)):
+            lhs, rhs = guard(e.lhs), guard(e.rhs)
+            return node(f"{lhs} {'and' if isinstance(e, AndExpr) else 'or'} {rhs}")
+        raise TypeError(f"not a guard expression: {e!r}")
+
+    result = guard(g)
+    reads = [f"    try:\n        v{i} = float(env[_n[{i}]])\n"
+             f"    except KeyError:\n        raise _unbound(_n[{i}]) from None"
+             for i in range(len(names))]
+    source = "\n".join(["def guard(env, _n, _c, _unbound):", *reads, *body,
+                        f"    return {result}"])
+    code = _guard_code.get(source)
+    if code is None:
+        scope: dict = {}
+        exec(compile(source, "<guard>", "exec"), scope)
+        code = _guard_code[source] = scope["guard"].__code__
+    return FunctionType(code, globals(), "guard",
+                        (tuple(names), tuple(numbers), UnboundVariableError))
+
+
+# Guards of one shape (say, a net's per-place guards that differ only in their
+# numbers) have the same source, so their functions share one code object,
+# kept while some function uses it.
+_guard_code: "WeakValueDictionary[str, CodeType]" = WeakValueDictionary()
 
 
 def guard_variables(g: GuardExpr) -> frozenset[str]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .expr import TRUE, GuardExpr
@@ -63,6 +64,13 @@ class Marking(FrozenMap):
             if ms:
                 acc[place] = ms
         object.__setattr__(self, "_map", acc)
+
+    @classmethod
+    def _of(cls, assignment: dict[str, Multiset]) -> "Marking":
+        """A marking over `assignment` as given: every value a non-empty `Multiset`."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_map", assignment)
+        return m
 
     def __getitem__(self, place: str) -> Multiset:
         return self._map.get(place, _EMPTY)
@@ -136,21 +144,26 @@ class Net:
 
     @cached_property
     def inputs(self) -> dict[str, tuple[tuple[str, Multiset], ...]]:
-        """Per transition: (input place, called tokens) in arc-independent order."""
-        acc: dict[str, list[tuple[str, Multiset]]] = {t.id: [] for t in self.transitions}
-        for arc in self.arcs:
-            if arc.target in acc and arc.source in self.place_index:
-                acc[arc.target].append((arc.source, arc.weight))
-        return {t: tuple(sorted(pairs)) for t, pairs in acc.items()}
+        """Per transition: (input place, called tokens), sorted by place."""
+        return self._arcs_by_transition(lambda arc: (arc.target, arc.source))
 
     @cached_property
     def outputs(self) -> dict[str, tuple[tuple[str, Multiset], ...]]:
-        """Per transition: (output place, deposited tokens)."""
+        """Per transition: (output place, deposited tokens), sorted by place."""
+        return self._arcs_by_transition(lambda arc: (arc.source, arc.target))
+
+    def _arcs_by_transition(self, ends) -> dict[str, tuple[tuple[str, Multiset], ...]]:
+        """(place, weight) per transition over the arcs whose `ends` are
+        (transition, place); two such arcs with the same ends are a ValueError,
+        with the text `validate_net` reports for them."""
         acc: dict[str, list[tuple[str, Multiset]]] = {t.id: [] for t in self.transitions}
         for arc in self.arcs:
-            if arc.source in acc and arc.target in self.place_index:
-                acc[arc.source].append((arc.target, arc.weight))
-        return {t: tuple(sorted(pairs)) for t, pairs in acc.items()}
+            t, place = ends(arc)
+            if t in acc and place in self.place_index:
+                if any(p == place for p, _ in acc[t]):
+                    raise ValueError(f"arc {arc.source}->{arc.target}: duplicate arc")
+                acc[t].append((place, arc.weight))
+        return {t: tuple(sorted(pairs, key=itemgetter(0))) for t, pairs in acc.items()}
 
     @cached_property
     def compiled(self):

@@ -24,7 +24,8 @@ import json
 from pathlib import Path
 
 from . import expr
-from .engine import FiringEvent, NotEnabledError, Trace, enabled_set, fire
+from .engine import FiringEvent, NotEnabledError, Trace, enabled_set, fire_sequence
+from .expr import UnboundVariableError, guard_variables
 from .model import Marking, Net
 from .multiset import Multiset
 
@@ -33,33 +34,61 @@ class ReplayError(ValueError):
     """A trace document is malformed, names another net, or does not replay."""
 
 
-def _field(record: dict, key: str, step: int | None = None):
-    """record[key], or a ReplayError naming the key and the 1-based event step."""
+_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def _field(record: dict, key: str, step: int | None = None, kind: type | None = None):
+    """record[key], or a ReplayError naming the key and the 1-based event step
+    if it is missing or, given `kind`, not of that JSON type."""
+    where = "document" if step is None else f"step {step}"
     try:
-        return record[key]
+        value = record[key]
     except KeyError:
-        where = "document" if step is None else f"step {step}"
         raise ReplayError(f"{where}: missing {key!r}") from None
+    if kind is not None and not isinstance(value, kind):
+        raise ReplayError(f"{where}: {key!r} is not a JSON {_JSON_NAMES[kind]}")
+    return value
 
 
-def _marking_field(record: dict, key: str, colors, step: int | None = None) -> Marking:
+def _weights(colors):
+    """`expr.parse_weight_expr` over `colors`, parsing each distinct text once."""
+    parsed: dict[str, Multiset] = {}
+
+    def parse(text: str) -> Multiset:
+        ms = parsed.get(text)
+        if ms is None:
+            ms = parsed[text] = expr.parse_weight_expr(text, colors)
+        return ms
+    return parse
+
+
+def _marking_field(record: dict, key: str, parse, step: int | None = None) -> Marking:
     """record[key] parsed as a marking, or a ReplayError naming the key or step."""
-    try:
-        return marking_from_strings(_field(record, key, step), colors)
-    except expr.ParseError as err:
-        where = f"document: {key!r}" if step is None else f"step {step}: {key!r}"
-        raise ReplayError(f"{where}: {err}") from None
+    where = f"document: {key!r}" if step is None else f"step {step}: {key!r}"
+    assignment = {}
+    for place, text in _field(record, key, step, dict).items():
+        if not isinstance(text, str):
+            raise ReplayError(f"{where}: place {place!r} holds {text!r}, not a weight expression")
+        try:
+            assignment[place] = parse(text)
+        except expr.ParseError as err:
+            raise ReplayError(f"{where}: {err}") from None
+    return Marking._of(assignment)  # parsed weights are never empty
+
+
+def _env_field(record: dict, step: int) -> dict[str, float]:
+    """The event's environment as floats, or a ReplayError naming the variable."""
+    env = {}
+    for name, value in _field(record, "env", step, dict).items():
+        try:
+            env[name] = float(value)
+        except (TypeError, ValueError):
+            raise ReplayError(f"step {step}: 'env': {name!r} is {value!r}, not a number") from None
+    return env
 
 
 def marking_to_strings(m: Marking) -> dict[str, str]:
     return {place: str(tokens) for place, tokens in m.items()}
-
-
-def marking_from_strings(data: dict[str, str], colors) -> Marking:
-    assignment: dict[str, Multiset] = {}
-    for place, text in data.items():
-        assignment[place] = expr.parse_weight_expr(text, colors)
-    return Marking(assignment)
 
 
 def trace_document(net: Net, trace: Trace, mode: str = "subset",
@@ -89,16 +118,25 @@ def trace_document(net: Net, trace: Trace, mode: str = "subset",
 
 
 def trace_from_document(doc: dict, colors) -> Trace:
-    initial = _marking_field(doc, "initial", colors)
-    events = tuple(
-        FiringEvent(
+    """The trace a document records; raises ReplayError for a missing field,
+    a field of the wrong JSON type or a marking that does not parse."""
+    return _document_trace(doc, _weights(colors))
+
+
+def _document_trace(doc: dict, parse) -> Trace:
+    if not isinstance(doc, dict):
+        raise ReplayError("document is not a JSON object")
+    initial = _marking_field(doc, "initial", parse)
+    events = []
+    for k, ev in enumerate(_field(doc, "events", kind=list), start=1):
+        if not isinstance(ev, dict):
+            raise ReplayError(f"step {k}: event is not a JSON object")
+        events.append(FiringEvent(
             step=_field(ev, "step", k),
-            transition=_field(ev, "transition", k),
-            env_snapshot={n: float(v) for n, v in _field(ev, "env", k).items()},
-            marking_after=_marking_field(ev, "marking", colors, k),
-        )
-        for k, ev in enumerate(_field(doc, "events"), start=1)
-    )
+            transition=_field(ev, "transition", k, str),
+            env_snapshot=_env_field(ev, k),
+            marking_after=_marking_field(ev, "marking", parse, k),
+        ))
     return Trace(_field(doc, "net"), initial, events)
 
 
@@ -113,28 +151,53 @@ def read_trace(path) -> dict:
 def replay(net: Net, doc: dict) -> Marking:
     """Re-fire every event of the document and return the resulting marking.
 
-    Raises ReplayError if the document lacks a field, is for another net,
-    holds a marking that does not parse, names an unknown transition or one
-    that is not enabled, or records an intermediate or final marking that
-    differs from what the engine reproduces.
+    Raises ReplayError if the document lacks a field, has one of the wrong
+    JSON type, is for another net, holds a marking that does not parse, names
+    an unknown transition or one that is not enabled, or records an
+    intermediate or final marking that differs from what the engine
+    reproduces.  Errors are reported for the earliest step at which they
+    occur.
+
+    The events are re-fired in one `engine.fire_sequence` call, up to the
+    first unknown transition.
     """
-    trace = trace_from_document(doc, net.colors)
+    parse = _weights(net.colors)
+    trace = _document_trace(doc, parse)
     if trace.net_name != net.name:
         raise ReplayError(f"document is for net {trace.net_name!r}, not {net.name!r}")
     mode = doc.get("mode", "subset")
-    m = trace.initial
-    for ev in trace.events:
-        if ev.transition not in net.transition_index:
-            raise ReplayError(f"step {ev.step}: unknown transition {ev.transition!r}")
-        try:
-            m = fire(net, m, ev.transition, ev.env_snapshot, mode)
-        except NotEnabledError as err:
-            raise ReplayError(f"step {ev.step}: {err}") from None
-        if m != ev.marking_after:
+    events = trace.events
+    known = next((i for i, ev in enumerate(events) if ev.transition not in net.transition_index),
+                 len(events))
+
+    def refire(stop: int) -> Trace:
+        return fire_sequence(net, trace.initial, [ev.transition for ev in events[:stop]],
+                             [ev.env_snapshot for ev in events[:stop]], mode)
+
+    failure = None
+    try:
+        fired = refire(known)
+    except NotEnabledError as err:
+        fired = err.trace
+        failure = ReplayError(f"step {events[err.step - 1].step}: transition {err.transition!r} "
+                              f"not enabled: {err.reason}")
+    except UnboundVariableError as err:
+        # it comes without the prefix that did fire: that is every event
+        # before the first whose environment lacks a variable its guard reads
+        fired = refire(next(i for i, ev in enumerate(events) if not guard_variables(
+            net.transition(ev.transition).guard) <= ev.env_snapshot.keys()))
+        failure = err
+    for ev, got in zip(events, fired.events):
+        if got.marking_after != ev.marking_after:
             raise ReplayError(
-                f"step {ev.step}: replay produced {m}, document records {ev.marking_after}"
+                f"step {ev.step}: replay produced {got.marking_after}, document records {ev.marking_after}"
             )
-    final = _marking_field(doc, "final", net.colors)
+    if failure is not None:
+        raise failure
+    if known < len(events):
+        raise ReplayError(f"step {events[known].step}: unknown transition {events[known].transition!r}")
+    m = fired.final
+    final = _marking_field(doc, "final", parse)
     if m != final:
         raise ReplayError(f"final marking diverges: replay {m}, document {final}")
     return m

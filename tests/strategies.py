@@ -1,5 +1,7 @@
 """Hypothesis strategies shared by the property tests."""
 
+import dataclasses
+
 from hypothesis import strategies as st
 
 from orbitpn import (
@@ -15,9 +17,11 @@ from orbitpn import (
     OrExpr,
     Place,
     SignedMultiset,
+    TRUE,
     Transition,
     TrueLiteral,
     VarRef,
+    guard_variables,
 )
 
 RESERVED = {"true", "and", "or", "not"}
@@ -96,3 +100,31 @@ def nets(draw, max_places=5, max_transitions=4, max_colors=4, max_tokens_per_pla
         arcs=tuple(arcs),
         initial_marking=marking,
     )
+
+
+@st.composite
+def live_nets(draw):
+    """A random net with random guards, an environment binding every guard
+    variable, and a start marking at which each place holds the tokens one of
+    its input arcs calls (plus, sometimes, the random marking's tokens).
+
+    Some input arcs call no tokens, which `validate_net` rejects but the
+    engine still defines; drawing one makes some places start empty."""
+    net = draw(nets())
+    net = dataclasses.replace(net, arcs=tuple(
+        Arc(a.source, a.target, Multiset())
+        if a.target in net.transition_index and draw(st.integers(0, 3)) == 0 else a
+        for a in net.arcs))
+    marking = {}
+    for pid in net.place_ids:
+        called = [w for t in net.transition_ids for p, w in net.inputs[t] if p == pid]
+        held = net.initial_marking[pid]
+        if called:
+            held = draw(st.sampled_from(called)) + draw(st.sampled_from((Multiset(), held)))
+        marking[pid] = held
+    transitions = tuple(Transition(t.id, draw(st.one_of(st.just(TRUE), guards)))
+                        for t in net.transitions)
+    names = sorted(set().union(*(guard_variables(t.guard) for t in transitions)))
+    env = {name: draw(st.floats(0, 10, allow_nan=False)) for name in names}
+    return dataclasses.replace(net, transitions=transitions,
+                               initial_marking=Marking(marking)), env

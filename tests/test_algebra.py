@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -14,7 +13,6 @@ from orbitpn import (
     Net,
     Place,
     SignedMultiset,
-    TRUE,
     Trace,
     Transition,
     UnboundVariableError,
@@ -25,7 +23,6 @@ from orbitpn import (
     fire_sequence,
     firing_counts,
     format_incidence,
-    guard_variables,
     incidence_matrix,
     marking_vector,
     models,
@@ -34,7 +31,7 @@ from orbitpn import (
     verify_sequence_consistency,
 )
 from orbitpn.engine import MODES
-from strategies import guards, nets
+from strategies import live_nets, nets
 
 sm = SignedMultiset
 
@@ -141,34 +138,6 @@ def assert_same_graph(net, m0, env, max_depth, max_states, mode):
     assert graph.deadlocks == deadlocks
     assert graph.truncated is truncated
     assert all(graph.index_of(node) == i for i, node in enumerate(nodes))
-
-
-@st.composite
-def live_nets(draw):
-    """A random net with random guards, an environment binding every guard
-    variable, and a start marking at which each place holds the tokens one of
-    its input arcs calls (plus, sometimes, the random marking's tokens).
-
-    Some input arcs call no tokens, which `validate_net` rejects but the
-    engine still defines; drawing one makes some places start empty."""
-    net = draw(nets())
-    net = dataclasses.replace(net, arcs=tuple(
-        Arc(a.source, a.target, Multiset())
-        if a.target in net.transition_index and draw(st.integers(0, 3)) == 0 else a
-        for a in net.arcs))
-    marking = {}
-    for pid in net.place_ids:
-        called = [w for t in net.transition_ids for p, w in net.inputs[t] if p == pid]
-        held = net.initial_marking[pid]
-        if called:
-            held = draw(st.sampled_from(called)) + draw(st.sampled_from((Multiset(), held)))
-        marking[pid] = held
-    transitions = tuple(Transition(t.id, draw(st.one_of(st.just(TRUE), guards)))
-                        for t in net.transitions)
-    names = sorted(set().union(*(guard_variables(t.guard) for t in transitions)))
-    env = {name: draw(st.floats(0, 10, allow_nan=False)) for name in names}
-    return dataclasses.replace(net, transitions=transitions,
-                               initial_marking=Marking(marking)), env
 
 
 class TestIncidenceMatrix:

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from orbitpn import Marking, cli, models, trace_io
+from orbitpn import Marking, UnboundVariableError, cli, engine, models, trace_io
 from orbitpn.netfile import load_net
 
 SATSAT_ARGS = [
@@ -358,8 +358,28 @@ class TestTraceDocuments:
          True),
         (lambda doc: doc["events"][1].update(transition="t1"),
          "step 2: transition 't1' not enabled", False),
+        # fields of the wrong JSON type
+        (lambda doc: doc["events"][0].update(marking="P1=y"), "step 1: 'marking' is not a JSON object",
+         True),
+        (lambda doc: doc.update(initial=["x"]), "document: 'initial' is not a JSON object", True),
+        (lambda doc: doc["events"][1].update(env="clock=6"), "step 2: 'env' is not a JSON object",
+         True),
+        (lambda doc: doc["events"][0].update(env=[5]), "step 1: 'env' is not a JSON object", True),
+        (lambda doc: doc.update(events=3), "document: 'events' is not a JSON array", True),
+        (lambda doc: doc["events"][1]["marking"].update(P1=3),
+         "step 2: 'marking': place 'P1' holds 3, not a weight expression", True),
+        (lambda doc: doc["final"].update(P2=1.5),
+         "document: 'final': place 'P2' holds 1.5, not a weight expression", False),
+        (lambda doc: doc["events"][0]["env"].update(clock="zz"),
+         "step 1: 'env': 'clock' is 'zz', not a number", True),
+        (lambda doc: doc["events"].append(7), "step 3: event is not a JSON object", True),
+        (lambda doc: doc["events"][1].update(transition=["t2"]),
+         "step 2: 'transition' is not a JSON string", True),
     ], ids=["initial", "events", "final", "net", "env", "marking", "transition",
-            "unknown-transition", "other-net", "undeclared-color", "not-enabled"])
+            "unknown-transition", "other-net", "undeclared-color", "not-enabled",
+            "marking-string", "initial-list", "env-string", "env-list", "events-number",
+            "marking-value-number", "final-value-number", "env-value-string", "event-number",
+            "transition-list"])
     def test_bad_document_replay_error(self, capsys, tmp_path, damage, message, in_trace):
         out_file = tmp_path / "trace.json"
         run(
@@ -374,3 +394,34 @@ class TestTraceDocuments:
         if in_trace:
             with pytest.raises(trace_io.ReplayError, match=re.escape(message)):
                 trace_io.trace_from_document(doc, net.colors)
+
+    def test_document_not_an_object(self):
+        net = models.load("swap_infinite")
+        for read in (lambda doc: trace_io.replay(net, doc),
+                     lambda doc: trace_io.trace_from_document(doc, net.colors)):
+            with pytest.raises(trace_io.ReplayError, match="^document is not a JSON object$"):
+                read([{"net": "swap_infinite"}])
+
+    # a later step that names an unknown transition, or one not enabled there
+    @pytest.mark.parametrize("later", ["t9", "t1"], ids=["unknown", "not-enabled"])
+    def test_earliest_step_reported(self, later):
+        net = models.load("swap_infinite")
+        trace = engine.fire_sequence(net, net.initial_marking, ["t1", "t2", "t1", "t2"], [{}] * 4)
+        doc = trace_io.trace_document(net, trace)
+        doc["events"][1]["marking"] = {"P1": "y", "P2": "x"}
+        doc["events"][3]["transition"] = later
+        with pytest.raises(trace_io.ReplayError) as exc:
+            trace_io.replay(net, doc)
+        assert str(exc.value) == "step 2: replay produced P1=x, P2=y, document records P1=y, P2=x"
+
+    def test_earliest_step_reported_before_unbound_variable(self, satsat_net, satsat_envs):
+        trace = engine.fire_sequence(satsat_net, satsat_net.initial_marking, ["t1", "t2"],
+                                     satsat_envs)
+        doc = trace_io.trace_document(satsat_net, trace)
+        del doc["events"][1]["env"]["eps"]
+        with pytest.raises(UnboundVariableError, match="'eps'"):
+            trace_io.replay(satsat_net, doc)
+        doc["events"][0]["marking"] = {"P1": "x", "P2": "y"}
+        with pytest.raises(trace_io.ReplayError) as exc:
+            trace_io.replay(satsat_net, doc)
+        assert str(exc.value) == "step 1: replay produced P1=y, P2=x, document records P1=x, P2=y"

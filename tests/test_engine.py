@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from orbitpn import (
     Arc,
+    FiringEvent,
     Marking,
     Multiset,
     Net,
@@ -20,23 +21,9 @@ from orbitpn import (
     simulate,
     step,
 )
-from strategies import nets
+from strategies import live_nets, nets
 
 SWAPPED = Marking({"P1": ["y"], "P2": ["x"]})
-
-
-def executable_walk(net, data, max_len=6):
-    """Draw a random executable firing sequence by walking the enabled sets."""
-    seq = []
-    m = net.initial_marking
-    for _ in range(data.draw(st.integers(0, max_len))):
-        options = enabled_set(net, m, {})
-        if not options:
-            break
-        t = data.draw(st.sampled_from(options))
-        m = fire(net, m, t, {})
-        seq.append(t)
-    return seq, m
 
 
 class TestEnabled:
@@ -240,33 +227,107 @@ class TestSimulate:
         assert trace.events == ()
 
 
-class TestMergedPathsAgree:
-    """simulate, step, fire_sequence and fire share one move; check them against each other."""
+def outcome(call, *args):
+    """What a call returns, or the type, text and fields of what it raises."""
+    try:
+        return "returned", call(*args)
+    except NotEnabledError as err:
+        return "refused", str(err), err.transition, err.reason, err.step, err.trace
+    except Exception as err:
+        return "raised", type(err), str(err)
 
-    @given(net=nets(), policy=st.sampled_from(("sweep", "single")),
-           mode=st.sampled_from(("subset", "exact")), steps=st.integers(0, 4))
-    def test_simulate_is_chained_step_and_fire(self, net, policy, mode, steps):
-        trace = simulate(net, net.initial_marking, {}, steps, policy, mode)
-        chained, m = [], net.initial_marking
+
+def chained_fire(net, m0, seq, envs, mode):
+    """fire_sequence written as one public `fire` per step (the reference)."""
+    events, m = [], m0
+    for k, (t, env) in enumerate(zip(seq, envs), start=1):
+        try:
+            m = fire(net, m, t, env, mode)
+        except NotEnabledError as err:
+            raise NotEnabledError(t, err.reason, step=k,
+                                  trace=Trace(net.name, m0, tuple(events))) from None
+        events.append(FiringEvent(k, t, dict(env), m))
+    return Trace(net.name, m0, tuple(events))
+
+
+def chained_simulate(net, m0, env, steps, policy, mode):
+    """simulate written as sweeps of public `enabled` and `fire` (the reference)."""
+    events, m = [], m0
+    for _ in range(steps):
+        fired_any = False
+        for t in net.transition_ids:
+            if enabled(net, m, t, env, mode):
+                m = fire(net, m, t, env, mode)
+                events.append(FiringEvent(len(events) + 1, t, dict(env), m))
+                fired_any = True
+                if policy == "single":
+                    break
+        if not fired_any:
+            break
+    return Trace(net.name, m0, tuple(events))
+
+
+guarded_nets = live_nets().filter(lambda case: case[1])  # some guard reads a variable
+
+
+def some_env(data, env):
+    """`env` with fresh values, and now and then one variable left unbound."""
+    fresh = {name: data.draw(st.floats(0, 10, allow_nan=False)) for name in env}
+    if fresh and data.draw(st.integers(0, 15)) == 0:
+        del fresh[data.draw(st.sampled_from(sorted(fresh)))]
+    return fresh
+
+
+class TestMergedPathsAgree:
+    """fire_sequence and simulate run on the compiled slots; check them
+    against chained public `fire` on guarded nets, refusals and errors (an
+    unknown mode among them) included."""
+
+    @given(case=guarded_nets, policy=st.sampled_from(("sweep", "single")),
+           mode=st.sampled_from(("subset", "exact", "loose")), steps=st.integers(0, 4),
+           data=st.data())
+    def test_simulate_is_chained_step_and_fire(self, case, policy, mode, steps, data):
+        net, env = case
+        env = some_env(data, env)
+        got = outcome(simulate, net, net.initial_marking, env, steps, policy, mode)
+        assert got == outcome(chained_simulate, net, net.initial_marking, env, steps, policy, mode)
+        if got[0] != "returned":
+            return
+        trace, chained, m = got[1], [], net.initial_marking
         for _ in range(steps):
-            m, fired = step(net, m, {}, policy, mode)
+            m, fired = step(net, m, env, policy, mode)
             if not fired:
                 break
             chained += fired
         assert [ev.transition for ev in trace.events] == chained
         assert [ev.step for ev in trace.events] == list(range(1, len(chained) + 1))
-        m = net.initial_marking
-        for ev in trace.events:
-            m = fire(net, m, ev.transition, {}, mode)
-            assert ev.marking_after == m
         assert trace.final == m
 
-    @given(net=nets(), data=st.data())
-    def test_fire_sequence_is_chained_fire(self, net, data):
-        seq, _ = executable_walk(net, data)
-        trace = fire_sequence(net, net.initial_marking, seq, [{}] * len(seq))
-        m = net.initial_marking
-        for t, ev in zip(seq, trace.events):
-            m = fire(net, m, t, {})
-            assert ev.marking_after == m
-        assert len(trace.events) == len(seq)
+    @given(case=guarded_nets, mode=st.sampled_from(("subset", "exact", "loose")),
+           data=st.data())
+    def test_fire_sequence_is_chained_fire(self, case, mode, data):
+        # each step fires an enabled transition, or any transition or an
+        # unknown one, so sequences run long and are also refused
+        net, env = case
+        seq, envs, m = [], [], net.initial_marking
+        for _ in range(data.draw(st.integers(1, 8))):
+            envs.append(some_env(data, env))
+            try:
+                options = enabled_set(net, m, envs[-1], mode)
+            except (UnboundVariableError, ValueError):  # unbound, or an unknown mode
+                options = []
+            if options and data.draw(st.integers(0, 3)):
+                seq.append(data.draw(st.sampled_from(options)))
+                m = fire(net, m, seq[-1], envs[-1], mode)
+            else:
+                seq.append(data.draw(st.sampled_from(net.transition_ids + ("t_unknown",))))
+        got = outcome(fire_sequence, net, net.initial_marking, seq, envs, mode)
+        assert got == outcome(chained_fire, net, net.initial_marking, seq, envs, mode)
+
+    def test_refusal_matches_chained_fire(self, satsat_net, satsat_envs):
+        # t2 at step 3 after a full maneuver: P1 holds x, not the y it calls
+        seq, envs = ["t1", "t2", "t2"], list(satsat_envs) + [satsat_envs[1]]
+        got = outcome(fire_sequence, satsat_net, satsat_net.initial_marking, seq, envs, "subset")
+        assert got[0] == "refused" and got[4] == 3 and len(got[5].events) == 2
+        assert got == outcome(chained_fire, satsat_net, satsat_net.initial_marking, seq, envs,
+                              "subset")

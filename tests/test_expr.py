@@ -19,7 +19,7 @@ from orbitpn import (
     render_guard,
     render_weight_expr,
 )
-from orbitpn.expr import MAX_GUARD_DEPTH
+from orbitpn.expr import MAX_GUARD_DEPTH, compile_guard
 from strategies import color_lists, guards, identifiers, multisets_over
 
 COLORS = ("A", "B", "C", "D", "x", "y", "S")
@@ -132,6 +132,7 @@ class TestParseGuard:
             g = parse_guard(at_limit)
             assert parse_guard(render_guard(g)) == g
             assert eval_guard(g, {"a": 2}) in (True, False)
+            assert compile_guard(g)({"a": 2}) is eval_guard(g, {"a": 2})
             for text in (over, far_over):
                 with pytest.raises(ParseError, match="nested more than"):
                     parse_guard(text)
@@ -170,6 +171,46 @@ class TestEvalGuard:
         g = parse_guard("a + b > 1")
         env = {"a": 1, "b": 1}
         assert all(eval_guard(g, env) for _ in range(5))
+
+
+def evaluation(guard_fn, env):
+    """A guard's value and its type, or the error it raises."""
+    try:
+        value = guard_fn(env)
+    except UnboundVariableError as err:
+        return UnboundVariableError, err.name
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    return type(value), value
+
+
+class TestCompileGuard:
+    @given(g=guards, data=st.data())
+    def test_agrees_with_eval_guard(self, g, data):
+        # environments binding all, some or none of the variables, with any
+        # float (nan and infinities included) or, now and then, a string
+        names = sorted(guard_variables(g))
+        keep = data.draw(st.sampled_from(("all", "some", "none")))
+        bound = (names if keep == "all" else [] if keep == "none" or not names
+                 else data.draw(st.lists(st.sampled_from(names), unique=True)))
+        env = {name: data.draw(st.floats()) for name in bound}
+        if bound and data.draw(st.integers(0, 3)) == 0:
+            env[data.draw(st.sampled_from(bound))] = "zz"
+        assert evaluation(compile_guard(g), env) == evaluation(lambda e: eval_guard(g, e), env)
+
+    def test_non_finite_literals(self):
+        inf, nan = NumLit(float("inf")), NumLit(float("nan"))
+        for g, value in ((Comparison("<", VarRef("a"), inf), True),
+                         (Comparison("==", nan, nan), False),
+                         (Comparison("!=", VarRef("a"), nan), True)):
+            assert compile_guard(g)({"a": 1.0}) is eval_guard(g, {"a": 1.0}) is value
+
+    def test_names_are_not_source_text(self):
+        # a variable name or operator from a hand-built tree is data, never code
+        g = Comparison("<", VarRef("a]; import os; x = _n[0"), NumLit(1.0))
+        assert compile_guard(g)({"a]; import os; x = _n[0": 0.0}) is True
+        with pytest.raises(KeyError):
+            compile_guard(Comparison("; pass", VarRef("a"), NumLit(1.0)))
 
 
 class TestRoundTrip:

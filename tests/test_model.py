@@ -113,6 +113,22 @@ class TestValidateNet:
         assert "duplicate arc" in messages
         assert "weight expression is empty" in messages
 
+    @pytest.mark.parametrize("arcs, label, side", [
+        ((Arc("P1", "t1", Multiset(["x"])), Arc("P1", "t1", Multiset(["y"]))),
+         "arc P1->t1", "inputs"),
+        ((Arc("P1", "t1", Multiset(["x"])), Arc("t1", "P1", Multiset(["x"])),
+          Arc("t1", "P1", Multiset(["x"]))), "arc t1->P1", "outputs"),
+    ], ids=["inputs-differ", "outputs-equal"])
+    def test_duplicate_arc_is_a_value_error_in_use(self, arcs, label, side):
+        # analyses of an unvalidated net report the arc that validate_net reports
+        net = Net("dup", ("x", "y"), (Place("P1", 1),), (Transition("t1"),), arcs,
+                  Marking({"P1": ["x", "y"]}))
+        assert f"{label}: duplicate arc" in validate_net(net)
+        for use in (lambda: getattr(net, side), lambda: incidence_matrix(net),
+                    lambda: net.compiled, lambda: fire(net, net.initial_marking, "t1", {})):
+            with pytest.raises(ValueError, match=f"^{label}: duplicate arc$"):
+                use()
+
     @given(net=nets())
     def test_generated_nets_valid(self, net):
         assert validate_net(net) == []

@@ -16,3 +16,15 @@ def test_case_studies_script_runs():
     assert result.stdout.count("state-equation consistent: True") == 4
     # the whole output, pinned: structure, matrices, traces, witnesses and graph summaries
     assert result.stdout == (ROOT / "tests" / "case_studies.golden.txt").read_text()
+
+
+def test_cli_import_leaves_core_unloaded():
+    # `Net.compiled` imports core on first use, so `opn` runs that never
+    # build a compiled net do not load it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, orbitpn.cli; print('orbitpn.core' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
