@@ -1,18 +1,24 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from orbitpn import (
+    AndExpr,
     Arc,
+    Comparison,
     FiringEvent,
     Marking,
     Multiset,
     Net,
     NotEnabledError,
+    NumLit,
     Place,
     Trace,
     Transition,
     UnboundVariableError,
+    VarRef,
     enabled,
     enabled_set,
     enabling_failure,
@@ -267,13 +273,22 @@ def chained_simulate(net, m0, env, steps, policy, mode):
     return Trace(net.name, m0, tuple(events))
 
 
-guarded_nets = live_nets().filter(lambda case: case[1])  # some guard reads a variable
+@st.composite
+def guarded_nets(draw):
+    """`live_nets()` in which some guard reads a variable."""
+    net, env = draw(live_nets())
+    if not env:
+        first = net.transitions[0]
+        guard = AndExpr(first.guard, Comparison("<=", VarRef("v"), NumLit(draw(st.floats(0, 10)))))
+        net = dataclasses.replace(net, transitions=(Transition(first.id, guard),) + net.transitions[1:])
+        env = {"v": 0.0}
+    return net, env
 
 
-def some_env(data, env):
-    """`env` with fresh values, and now and then one variable left unbound."""
+def some_env(data, env, unbind=False):
+    """`env` with fresh values, and with one variable left out if `unbind`."""
     fresh = {name: data.draw(st.floats(0, 10, allow_nan=False)) for name in env}
-    if fresh and data.draw(st.integers(0, 15)) == 0:
+    if unbind:
         del fresh[data.draw(st.sampled_from(sorted(fresh)))]
     return fresh
 
@@ -283,12 +298,12 @@ class TestMergedPathsAgree:
     against chained public `fire` on guarded nets, refusals and errors (an
     unknown mode among them) included."""
 
-    @given(case=guarded_nets, policy=st.sampled_from(("sweep", "single")),
+    @given(case=guarded_nets(), policy=st.sampled_from(("sweep", "single")),
            mode=st.sampled_from(("subset", "exact", "loose")), steps=st.integers(0, 4),
            data=st.data())
     def test_simulate_is_chained_step_and_fire(self, case, policy, mode, steps, data):
         net, env = case
-        env = some_env(data, env)
+        env = some_env(data, env, unbind=data.draw(st.sampled_from((False, False, False, True))))
         got = outcome(simulate, net, net.initial_marking, env, steps, policy, mode)
         assert got == outcome(chained_simulate, net, net.initial_marking, env, steps, policy, mode)
         if got[0] != "returned":
@@ -303,31 +318,57 @@ class TestMergedPathsAgree:
         assert [ev.step for ev in trace.events] == list(range(1, len(chained) + 1))
         assert trace.final == m
 
-    @given(case=guarded_nets, mode=st.sampled_from(("subset", "exact", "loose")),
+    @given(case=guarded_nets(), mode=st.sampled_from(("subset", "exact", "loose")),
            data=st.data())
     def test_fire_sequence_is_chained_fire(self, case, mode, data):
-        # each step fires an enabled transition, or any transition or an
-        # unknown one, so sequences run long and are also refused
+        # every step fires an enabled transition, except that one step names
+        # any transition or an unknown one, and one step leaves a variable
+        # unbound (either may fall beyond the end), so sequences run long and
+        # are also refused; sampled_from leans to its first entries, so long
+        # sequences without an unbound step come up often
         net, env = case
+        length = data.draw(st.sampled_from(range(8, 0, -1)))
+        wild = data.draw(st.integers(0, length))
+        unbound = data.draw(st.sampled_from(range(length, -1, -1)))
+        walk = "subset" if mode == "loose" else mode  # what an unchecked mode would do
         seq, envs, m = [], [], net.initial_marking
-        for _ in range(data.draw(st.integers(1, 8))):
-            envs.append(some_env(data, env))
+        for k in range(length):
+            envs.append(some_env(data, env, unbind=k == unbound))
             try:
-                options = enabled_set(net, m, envs[-1], mode)
-            except (UnboundVariableError, ValueError):  # unbound, or an unknown mode
+                options = enabled_set(net, m, envs[-1], walk)
+            except UnboundVariableError:
                 options = []
-            if options and data.draw(st.integers(0, 3)):
+            if options and k != wild:
                 seq.append(data.draw(st.sampled_from(options)))
-                m = fire(net, m, seq[-1], envs[-1], mode)
+                m = fire(net, m, seq[-1], envs[-1], walk)
             else:
                 seq.append(data.draw(st.sampled_from(net.transition_ids + ("t_unknown",))))
         got = outcome(fire_sequence, net, net.initial_marking, seq, envs, mode)
         assert got == outcome(chained_fire, net, net.initial_marking, seq, envs, mode)
 
-    def test_refusal_matches_chained_fire(self, satsat_net, satsat_envs):
-        # t2 at step 3 after a full maneuver: P1 holds x, not the y it calls
-        seq, envs = ["t1", "t2", "t2"], list(satsat_envs) + [satsat_envs[1]]
-        got = outcome(fire_sequence, satsat_net, satsat_net.initial_marking, seq, envs, "subset")
-        assert got[0] == "refused" and got[4] == 3 and len(got[5].events) == 2
-        assert got == outcome(chained_fire, satsat_net, satsat_net.initial_marking, seq, envs,
-                              "subset")
+    @pytest.mark.parametrize("seq, step, reason", [
+        (["t1", "t2", "t2"], 3, "token calling unsatisfied at 'P1'"),  # P1 holds x, not y
+        (["t1"], 1, "guard is false"),  # the tokens are there, no collision is predicted
+    ], ids=["tokens", "guard"])
+    def test_refusal_matches_chained_fire(self, satsat_net, satsat_envs, seq, step, reason):
+        envs = list(satsat_envs) + [satsat_envs[1]]
+        if reason == "guard is false":
+            envs = [dict(env, collision_prob=0.0) for env in envs]
+        envs = envs[:len(seq)]
+        m0 = satsat_net.initial_marking
+        got = outcome(fire_sequence, satsat_net, m0, seq, envs, "subset")
+        assert got[0] == "refused" and got[4] == step and got[3].startswith(reason)
+        assert got == outcome(chained_fire, satsat_net, m0, seq, envs, "subset")
+        assert outcome(simulate, satsat_net, m0, envs[0], 2) == outcome(
+            chained_simulate, satsat_net, m0, envs[0], 2, "sweep", "subset")
+
+    def test_unknown_mode_matches_chained_fire(self, swap_net):
+        # the mode is checked when the first firing is tried, not before
+        m0 = swap_net.initial_marking
+        for seq in ([], ["t1"]):
+            envs = [{}] * len(seq)
+            assert outcome(fire_sequence, swap_net, m0, seq, envs, "loose") == outcome(
+                chained_fire, swap_net, m0, seq, envs, "loose")
+        for steps in (0, 1):
+            assert outcome(simulate, swap_net, m0, {}, steps, "sweep", "loose") == outcome(
+                chained_simulate, swap_net, m0, {}, steps, "sweep", "loose")
