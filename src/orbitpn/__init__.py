@@ -36,8 +36,6 @@ from .model import (
     Net,
     Place,
     Transition,
-    marking_from_vector,
-    marking_vector,
     validate_net,
 )
 from .engine import (

@@ -22,8 +22,7 @@ from operator import mul
 from typing import Sequence
 
 from .engine import Trace, _check_mode
-from .expr import eval_guard
-from .model import Environment, Marking, Net, marking_vector
+from .model import Environment, Marking, Net
 from .multiset import Multiset, SignedMultiset
 
 
@@ -88,6 +87,13 @@ def format_incidence(matrix: IncidenceMatrix) -> str:
     return "\n".join(lines)
 
 
+def _check_places(net: Net, m: Marking) -> None:
+    """KeyError for the first place of `m` that the net lacks."""
+    for place in m.places():
+        if place not in net.place_index:
+            raise KeyError(f"marking references unknown place {place!r}")
+
+
 def apply_state_equation(net: Net, m: Marking, u: Sequence[int]) -> Marking:
     """M + A*u over the compiled slot vector, converted back to a marking.
 
@@ -101,9 +107,9 @@ def apply_state_equation(net: Net, m: Marking, u: Sequence[int]) -> Marking:
         raise ValueError(f"firing-count vector has {len(u)} entries, net has {len(net.transitions)} transitions")
     if any(count < 0 for count in u):
         raise ValueError("firing counts must be nonnegative")
-    marking_vector(net, m)  # raises KeyError on a place the net lacks
+    _check_places(net, m)
     view = net.compiled.covering(net, m)
-    vec = view.encode(m)
+    vec = list(view.encode(m))
     for count, column in zip(u, view.delta):
         if count:
             for slot, d in column:
@@ -130,8 +136,8 @@ def check_reachability_condition(net: Net, m0: Marking, md: Marking,
     """
     if max_total_firings < 0:
         raise ValueError("max_total_firings must be nonnegative")
-    marking_vector(net, md)  # raises KeyError on a place the net lacks
-    marking_vector(net, m0)
+    _check_places(net, md)
+    _check_places(net, m0)
     view = net.compiled.covering(net, m0, md)
     target = [b - a for a, b in zip(view.encode(m0), view.encode(md))]
     n = len(net.transitions)
@@ -209,13 +215,12 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
         raise ValueError("max_depth must be >= 0 and max_states >= 1")
     if net.transitions:
         _check_mode(mode)
+    view = net.compiled.covering(net, m0)
     # The environment is fixed, so every guard is evaluated once, in
     # declaration order, as the checks at the first state would: an unbound
     # variable raises whether or not any transition is token-enabled.
-    guards = [eval_guard(t.guard, env) for t in net.transitions]
-    view = net.compiled.covering(net, m0)
-    live = [k for k, ok in enumerate(guards) if ok]
+    live = [k for k in range(len(net.transitions)) if view.guard(k)(env)]
     nodes, depths, edges, deadlocks, truncated = view.explore(
-        tuple(view.encode(m0)), live, mode, max_depth, max_states)
+        view.encode(m0), live, mode, max_depth, max_states)
     return ReachabilityGraph(tuple(view.decode(nodes, m0)), tuple(depths), tuple(edges),
                              tuple(deadlocks), truncated)

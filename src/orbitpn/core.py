@@ -38,7 +38,7 @@ class CompiledNet:
     """
 
     __slots__ = ("place_ids", "transition_ids", "colors", "column", "width",
-                 "pre", "delta", "spans", "guard_exprs", "guards")
+                 "pre", "delta", "spans", "guard_exprs", "guards", "tests")
 
     def __init__(self, net: Net, extra_colors: Iterable[str] = ()):
         colors = set(net.colors).union(extra_colors)
@@ -48,6 +48,7 @@ class CompiledNet:
         self.transition_ids = net.transition_ids
         self.guard_exprs = tuple(t.guard for t in net.transitions)
         self.guards: list[Callable[[Environment], bool] | None] = [None] * len(self.guard_exprs)
+        self.tests: dict[str, list] = {}
         self.colors = tuple(sorted(colors))
         self.width = width = len(self.colors)
         self.column = column = {c: j for j, c in enumerate(self.colors)}
@@ -79,14 +80,14 @@ class CompiledNet:
         extra = held.difference(self.colors)
         return CompiledNet(net, extra) if extra else self
 
-    def encode(self, m: Marking) -> list[int]:
+    def encode(self, m: Marking) -> tuple[int, ...]:
         """Slot counts of `m` at the net's places; other places are ignored."""
         width, column = self.width, self.column
         vec = [0] * (width * len(self.place_ids))
         for i, pid in enumerate(self.place_ids):
             for color, n in m[pid].items():
                 vec[i * width + column[color]] = n
-        return vec
+        return tuple(vec)
 
     def decode(self, vectors: Iterable[tuple[int, ...]], base: Marking | None = None) -> list[Marking]:
         """Markings of slot tuples, each with the places of `base` outside the
@@ -120,17 +121,23 @@ class CompiledNet:
             fn = self.guards[k] = compile_guard(self.guard_exprs[k])
         return fn
 
+    def token_tests(self, mode: str) -> list:
+        """Per transition, `enabled_moves` for it alone; built once per mode."""
+        if mode not in self.tests:
+            self.tests[mode] = [self.enabled_moves([k], mode) for k in range(len(self.spans))]
+        return self.tests[mode]
+
     def enabled_moves(self, live: Iterable[int], mode: str):
-        """The token test of `engine.enabling_failure` on slot tuples.
+        """The token test of the firing rule on slot tuples.
 
         Returns a function from a slot tuple to the (transition id, delta
         column) of each transition of `live` whose input places hold what its
         arcs call, in the order of `live`.  Guards are not evaluated here.
-        The engine's rule, which this must match: a transition without input
-        arcs is never enabled; every input place holds a token; in subset mode
-        each arc's call is within its place, and in exact mode each place
-        holds exactly what its arc calls.  The engine's firing loops call it
-        with one transition at a time.
+        A transition without input arcs is never enabled; every input place
+        holds a token; in subset mode each arc's call is within its place,
+        and in exact mode each place holds exactly what its arc calls.
+        `engine.enabling_failure` reads the same `spans` to name the failed
+        condition.
         """
         live = [k for k in live if self.spans[k]]
         ids = self.transition_ids

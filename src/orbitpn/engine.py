@@ -14,10 +14,10 @@ Two containment readings of "the tokens can be called" are supported:
 
 Every bundled model behaves identically under both modes.
 
-`enabling_failure` and `fire` state these rules on `Marking`s.  The loops
-`fire_sequence` and `simulate` (and so `step`) run the same rules on the
-compiled net (`Net.compiled`): slot tuples, compiled guards, and markings
-decoded once per call.
+All of it runs on the compiled net (`Net.compiled`): markings are slot
+tuples, the token test is `CompiledNet.enabled_moves` and each guard is
+compiled to a Python function.  `enabling_failure` reads the same slots to
+say which condition failed.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import eval_guard
 from .model import Environment, Marking, Net
-from .multiset import Multiset
 
 MODES = ("subset", "exact")
 
@@ -79,27 +77,26 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
 
     The guard is always evaluated, even when token calling already fails, so
     an unbound environment variable surfaces as an error rather than being
-    masked by a structural refusal.
-
-    `core.CompiledNet.enabled_moves` is the same token test on slot tuples,
-    used by `algebra.reachability_graph`, `fire_sequence` and `simulate`; a
-    change to the rule here must be made there too (`test_agrees_with_reference_bfs`
-    and the `TestMergedPathsAgree` properties compare them).
+    masked by a structural refusal.  The token test reads the input arcs'
+    slot ranges of the compiled net (`CompiledNet.spans`).
     """
     _check_mode(mode)
-    guard_ok = eval_guard(net.transition(t).guard, env)
-    inputs = net.inputs[t]
-    if not inputs:
+    k = net.transition_index[net.transition(t).id]  # KeyError names an unknown t
+    view = net.compiled.covering(net, m)
+    guard_ok = view.guard(k)(env)
+    spans = view.spans[k]
+    if not spans:
         return "no input arcs (source transitions are never enabled)"
-    for place, called in inputs:
-        held = m[place]
-        if not held:
+    vec = view.encode(m)
+    for (place, called), (lo, hi, counts) in zip(net.inputs[t], spans):
+        held = vec[lo:hi]
+        if not any(held):
             return f"input place {place!r} is empty"
         if mode == "subset":
-            if not called <= held:
-                return f"token calling unsatisfied at {place!r}: arc calls {called}, place holds {held}"
-        elif held != called:
-            return f"exact-mode mismatch at {place!r}: arc calls {called}, place holds {held}"
+            if any(h < n for h, n in zip(held, counts)):
+                return f"token calling unsatisfied at {place!r}: arc calls {called}, place holds {m[place]}"
+        elif held != counts:
+            return f"exact-mode mismatch at {place!r}: arc calls {called}, place holds {m[place]}"
     if not guard_ok:
         return "guard is false"
     return None
@@ -113,28 +110,24 @@ def enabled(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset"
 def fire(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset") -> Marking:
     """Fire `t`, returning the new marking; the input marking is untouched.
 
-    This is the reference firing on `Marking`s that the compiled loops of
-    `fire_sequence` and `simulate` are tested against.
+    A one-step `fire_sequence`; its refusal carries no step and no trace.
     """
-    failure = enabling_failure(net, m, t, env, mode)
-    if failure is not None:
-        raise NotEnabledError(t, failure)
-    assignment = m.as_dict()
-    for place, called in net.inputs[t]:
-        assignment[place] = assignment[place] - called
-    for place, deposited in net.outputs[t]:
-        assignment[place] = assignment.get(place, Multiset()) + deposited
-    return Marking(assignment)
+    try:
+        return fire_sequence(net, m, [t], [env], mode).final
+    except NotEnabledError as err:
+        raise NotEnabledError(t, err.reason) from None
 
 
 def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") -> list[str]:
-    """All enabled transitions, in declaration order."""
-    return [t for t in net.transition_ids if enabled(net, m, t, env, mode)]
+    """All enabled transitions, in declaration order.
 
-
-def _token_tests(view, mode: str) -> list:
-    """Per transition index, `view.enabled_moves` for that transition alone."""
-    return [view.enabled_moves([k], mode) for k in range(len(view.transition_ids))]
+    Every guard is evaluated, in declaration order, before any token test.
+    """
+    if net.transitions:
+        _check_mode(mode)
+    view = net.compiled.covering(net, m)
+    live = [k for k in range(len(net.transitions)) if view.guard(k)(env)]
+    return [t for t, _ in view.enabled_moves(live, mode)(view.encode(m))]
 
 
 def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
@@ -145,21 +138,19 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
     error carries the 1-based step index and the trace of the prefix that did
     execute.
 
-    Runs over the compiled slot tuples of the net (`Net.compiled`) with its
-    compiled guards; markings are decoded once, at the end or at the refusal,
-    and only a refusal calls `enabling_failure`, for its reason.
+    Markings are decoded once, at the end or at the refusal, and only a
+    refusal calls `enabling_failure`, for its reason.
     """
     if len(seq) != len(envs):
         raise ValueError(f"sequence has {len(seq)} firings but {len(envs)} environments")
     if seq:
         _check_mode(mode)
     view = net.compiled.covering(net, m0)
-    tests = _token_tests(view, mode)
-    index = net.transition_index
-    m = tuple(view.encode(m0))
+    tests = view.token_tests(mode)
+    m = view.encode(m0)
     vectors = []
     for t, env in zip(seq, envs):
-        k = index.get(t)
+        k = net.transition_index.get(t)
         move = k is not None and view.guard(k)(env) and tests[k](m)
         if not move:
             break
@@ -190,17 +181,14 @@ def step(net: Net, m: Marking, env: Environment, policy: str = "sweep",
 
 def simulate(net: Net, m0: Marking, env: Environment, steps: int,
              policy: str = "sweep", mode: str = "subset") -> Trace:
-    """Run up to `steps` steps (see `step`), halting early on quiescence.
-
-    Runs over the compiled slot tuples like `fire_sequence`.
-    """
+    """Run up to `steps` steps (see `step`), halting early on quiescence."""
     if policy not in ("sweep", "single"):
         raise ValueError(f"unknown policy {policy!r}; expected 'sweep' or 'single'")
     if steps > 0 and net.transitions:
         _check_mode(mode)
     view = net.compiled.covering(net, m0)
-    tests = _token_tests(view, mode)
-    m = tuple(view.encode(m0))
+    tests = view.token_tests(mode)
+    m = view.encode(m0)
     fired, vectors = [], []
     for _ in range(steps):
         fired_any = False

@@ -25,7 +25,6 @@ entries computed by the algebra layer.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from types import CodeType, FunctionType
@@ -110,20 +109,15 @@ GuardExpr = Union[TrueLiteral, Comparison, NotExpr, AndExpr, OrExpr]
 TRUE = TrueLiteral()
 
 #: Most parenthesis groups nested in one another, and most operator levels in a
-#: guard tree; evaluation and rendering recurse once per level.
+#: guard tree; compiling and rendering recurse once per level.
 MAX_GUARD_DEPTH = 100
 _TOO_DEEP = f"guard nested more than {MAX_GUARD_DEPTH} levels deep"
 
 _KEYWORDS = {"true", "and", "or", "not"}
 
-_COMPARE = {
-    "<": operator.lt,
-    "<=": operator.le,
-    ">": operator.gt,
-    ">=": operator.ge,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
+# the only operator texts that reach a compiled guard's source; another one
+# is a KeyError
+_COMPARE = {op: op for op in ("<", "<=", ">", ">=", "==", "!=")}
 
 _GUARD_TOKEN_RE = re.compile(
     r"""
@@ -363,51 +357,23 @@ def render_guard(g: GuardExpr) -> str:
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _eval_num(e: NumExpr, env: Mapping[str, float]) -> float:
-    if isinstance(e, NumLit):
-        return e.value
-    if isinstance(e, VarRef):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-    lhs = _eval_num(e.lhs, env)
-    rhs = _eval_num(e.rhs, env)
-    return lhs + rhs if e.op == "+" else lhs - rhs
-
-
 def eval_guard(g: GuardExpr, env: Mapping[str, float]) -> bool:
-    """Evaluate a guard against variable bindings; unbound names are an error."""
-    if isinstance(g, TrueLiteral):
-        return True
-    if isinstance(g, Comparison):
-        return _COMPARE[g.op](_eval_num(g.lhs, env), _eval_num(g.rhs, env))
-    if isinstance(g, NotExpr):
-        return not eval_guard(g.operand, env)
-    if isinstance(g, (AndExpr, OrExpr)):
-        # evaluate both sides: an unbound variable must raise even when the
-        # other side already decides the result
-        lhs = eval_guard(g.lhs, env)
-        rhs = eval_guard(g.rhs, env)
-        return (lhs and rhs) if isinstance(g, AndExpr) else (lhs or rhs)
-    raise TypeError(f"not a guard expression: {g!r}")
-
-
-# the only operator texts that reach a compiled guard's source; another one
-# is a KeyError, as in `eval_guard`
-_COMPARE_SOURCE = {op: op for op in _COMPARE}
+    """Evaluate a guard, compiled anew, on variable bindings; unbound names are an error."""
+    return compile_guard(g)(env)
 
 
 def compile_guard(g: GuardExpr) -> Callable[[Mapping[str, float]], bool]:
-    """`g` as one Python function of an environment, equal to `eval_guard(g, env)`.
+    """`g` as one Python function of an environment.
 
-    The function first reads each variable once, in the order `eval_guard`
-    first reaches it, so it raises the same `UnboundVariableError`, or the
-    same error from ``float()``, for the same environment.  Then it computes
-    the expression as one assignment per tree node, which keeps the source
-    flat however deep the guard is; the expression reads no environment and,
-    over numbers, cannot raise, so no short-circuit is needed.  Variable names and numbers
-    are passed in as tuples and indexed, never written into the source.
+    The function first reads each variable once, in the order a left-to-right
+    walk of the tree first reaches it, so an unbound variable raises
+    `UnboundVariableError` even where the other side of an ``and``/``or``
+    already decides the result, and a value ``float()`` rejects raises its
+    error.  Then it computes the expression as one assignment per tree node,
+    which keeps the source flat however deep the guard is; the expression
+    reads no environment and, over numbers, cannot raise, so no short-circuit
+    is needed.  Variable names and numbers are passed in as tuples and
+    indexed, never written into the source.
     """
     names: list[str] = []
     numbers: list[float] = []
@@ -433,7 +399,7 @@ def compile_guard(g: GuardExpr) -> Callable[[Mapping[str, float]], bool]:
             return "True"
         if isinstance(e, Comparison):
             lhs, rhs = num(e.lhs), num(e.rhs)
-            return node(f"{lhs} {_COMPARE_SOURCE[e.op]} {rhs}")
+            return node(f"{lhs} {_COMPARE[e.op]} {rhs}")
         if isinstance(e, NotExpr):
             return node(f"not {guard(e.operand)}")
         if isinstance(e, (AndExpr, OrExpr)):

@@ -244,18 +244,3 @@ def validate_net(net: Net) -> list[str]:
 
     return violations
 
-
-def marking_vector(net: Net, m: Marking) -> list[Multiset]:
-    """The marking as a column vector: entry j is the multiset at the j-th place."""
-    for place in m.places():
-        if place not in net.place_index:
-            raise KeyError(f"marking references unknown place {place!r}")
-    return [m[pid] for pid in net.place_ids]
-
-
-def marking_from_vector(net: Net, vector: Iterable[Multiset]) -> Marking:
-    """Inverse of `marking_vector`; the vector must have one entry per place."""
-    entries = list(vector)
-    if len(entries) != len(net.places):
-        raise ValueError(f"expected {len(net.places)} entries, got {len(entries)}")
-    return Marking({pid: ms for pid, ms in zip(net.place_ids, entries)})

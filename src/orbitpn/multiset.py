@@ -54,10 +54,6 @@ class SignedMultiset(FrozenMap):
         object.__setattr__(self, "_map", acc)
 
     @classmethod
-    def from_multiset(cls, ms: "Multiset", sign: int = 1) -> "SignedMultiset":
-        return cls({c: sign * n for c, n in ms.items()})
-
-    @classmethod
     def difference(cls, plus: "Multiset", minus: "Multiset") -> "SignedMultiset":
         """plus - minus as a signed sum (how incidence entries are built)."""
         acc = {c: n for c, n in plus.items()}
@@ -68,9 +64,6 @@ class SignedMultiset(FrozenMap):
     def coefficient(self, color: str) -> int:
         return self._map.get(color, 0)
 
-    def is_zero(self) -> bool:
-        return not self._map
-
     def __add__(self, other: "SignedMultiset") -> "SignedMultiset":
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -78,21 +71,6 @@ class SignedMultiset(FrozenMap):
         for c, n in other._map.items():
             acc[c] = acc.get(c, 0) + n
         return self.__class__(acc)
-
-    def __sub__(self, other: "SignedMultiset") -> "SignedMultiset":
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "SignedMultiset":
-        return SignedMultiset({c: -n for c, n in self._map.items()})
-
-    def scale(self, k: int) -> "SignedMultiset":
-        return SignedMultiset({c: k * n for c, n in self._map.items()})
-
-    def to_multiset(self) -> "Multiset":
-        """Back to an unsigned multiset; raises ValueError if any coefficient is negative."""
-        return Multiset(self._map)
 
     def __str__(self) -> str:
         """Canonical text: positive terms before negative ones, each run sorted by color."""

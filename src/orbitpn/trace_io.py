@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 
 from . import expr
-from .engine import FiringEvent, NotEnabledError, Trace, enabled_set, fire_sequence
+from .engine import MODES, FiringEvent, NotEnabledError, Trace, enabled_set, fire_sequence
 from .expr import UnboundVariableError, guard_variables
 from .model import Marking, Net
 from .multiset import Multiset
@@ -152,11 +152,11 @@ def replay(net: Net, doc: dict) -> Marking:
     """Re-fire every event of the document and return the resulting marking.
 
     Raises ReplayError if the document lacks a field, has one of the wrong
-    JSON type, is for another net, holds a marking that does not parse, names
-    an unknown transition or one that is not enabled, or records an
-    intermediate or final marking that differs from what the engine
-    reproduces.  Errors are reported for the earliest step at which they
-    occur.
+    JSON type, is for another net, has an unknown mode, holds a marking that
+    does not parse, names an unknown transition, one that is not enabled or
+    one whose guard reads a variable its `env` lacks, or records a marking
+    that differs from what the engine reproduces.  Errors are reported for
+    the earliest step at which they occur.
 
     The events are re-fired in one `engine.fire_sequence` call, up to the
     first unknown transition.
@@ -167,6 +167,8 @@ def replay(net: Net, doc: dict) -> Marking:
         raise ReplayError(f"document is for net {trace.net_name!r}, not {net.name!r}")
     mode = doc.get("mode", "subset")
     events = trace.events
+    if events and mode not in MODES:
+        raise ReplayError(f"step {events[0].step}: unknown containment mode {mode!r}")
     known = next((i for i, ev in enumerate(events) if ev.transition not in net.transition_index),
                  len(events))
 
@@ -184,9 +186,10 @@ def replay(net: Net, doc: dict) -> Marking:
     except UnboundVariableError as err:
         # it comes without the prefix that did fire: that is every event
         # before the first whose environment lacks a variable its guard reads
-        fired = refire(next(i for i, ev in enumerate(events) if not guard_variables(
-            net.transition(ev.transition).guard) <= ev.env_snapshot.keys()))
-        failure = err
+        stop = next(i for i, ev in enumerate(events) if not guard_variables(
+            net.transition(ev.transition).guard) <= ev.env_snapshot.keys())
+        fired = refire(stop)
+        failure = ReplayError(f"step {events[stop].step}: {err}")
     for ev, got in zip(events, fired.events):
         if got.marking_after != ev.marking_after:
             raise ReplayError(

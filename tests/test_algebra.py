@@ -19,18 +19,17 @@ from orbitpn import (
     apply_state_equation,
     check_reachability_condition,
     enabled_set,
-    fire,
     fire_sequence,
     firing_counts,
     format_incidence,
     incidence_matrix,
-    marking_vector,
     models,
     parse_guard,
     reachability_graph,
     verify_sequence_consistency,
 )
 from orbitpn.engine import MODES
+import reference
 from strategies import live_nets, nets
 
 sm = SignedMultiset
@@ -79,26 +78,26 @@ def closure_oracle(net, m0, env):
         if m in seen:
             return
         seen.add(m)
-        for t in enabled_set(net, m, env):
-            explore(fire(net, m, t, env))
+        for t in reference.enabled_set(net, m, env):
+            explore(reference.fire(net, m, t, env))
 
     explore(m0)
     return seen
 
 
 def reference_graph(net, m0, env, max_depth, max_states, mode):
-    """Independent BFS over the public engine: enabled_set, then fire."""
+    """Independent BFS over the reference engine: enabled_set, then fire."""
     nodes, depths, index = [m0], [0], {m0: 0}
     edges, deadlocks, truncated = [], [], False
     for i, m in enumerate(nodes):
-        options = enabled_set(net, m, env, mode)
+        options = reference.enabled_set(net, m, env, mode)
         if not options:
             deadlocks.append(i)
         elif depths[i] >= max_depth:
             truncated = True
         else:
             for t in options:
-                successor = fire(net, m, t, env, mode)
+                successor = reference.fire(net, m, t, env, mode)
                 j = index.get(successor)
                 if j is None:
                     if len(nodes) >= max_states:
@@ -118,13 +117,13 @@ def reference_state_equation(net, m, u):
     matrix = incidence_matrix(net)
     result = {}
     for i, pid in enumerate(net.place_ids):
-        total = SignedMultiset.from_multiset(m[pid])
+        total = SignedMultiset(m[pid])
         for j, count in enumerate(u):
-            total = total + matrix.entries[i][j].scale(count)
+            total = total + SignedMultiset({c: count * n for c, n in matrix.entries[i][j].items()})
         for color, coeff in total.items():
             if coeff < 0:
                 return (pid, color, coeff)
-        result[pid] = total.to_multiset()
+        result[pid] = Multiset(total)
     return Marking(result)
 
 
@@ -175,7 +174,7 @@ class TestIncidenceMatrix:
         net = Net("bare", ("x",), (Place("P1", 1), Place("P2", -1)),
                   (Transition("t1"),), ())
         matrix = incidence_matrix(net)
-        assert all(e.is_zero() for row in matrix.entries for e in row)
+        assert all(e == sm() for row in matrix.entries for e in row)
 
     def test_grid_format(self, satsat_net):
         grid = format_incidence(incidence_matrix(satsat_net))
@@ -275,12 +274,16 @@ class TestApplyStateEquation:
     @given(net=nets(), data=st.data())
     def test_unit_vector_matches_fire(self, net, data):
         m = net.initial_marking
-        options = enabled_set(net, m, {})
+        options = reference.enabled_set(net, m, {})
         if not options:
             return
         t = data.draw(st.sampled_from(options))
         unit = tuple(1 if tid == t else 0 for tid in net.transition_ids)
-        assert apply_state_equation(net, m, unit) == fire(net, m, t, {})
+        assert apply_state_equation(net, m, unit) == reference.fire(net, m, t, {})
+
+    def test_unknown_place_rejected(self, classes_net):
+        with pytest.raises(KeyError, match="unknown place 'nope'"):
+            apply_state_equation(classes_net, Marking({"nope": ["A"]}), (0, 0))
 
 
 class TestReachabilityCondition:
@@ -311,6 +314,12 @@ class TestReachabilityCondition:
         assert check_reachability_condition(swap_net, swap_net.initial_marking,
                                             target, 6) is None
         assert brute_force_solutions(swap_net, swap_net.initial_marking, target, 6) == []
+
+    def test_unknown_place_rejected(self, swap_net):
+        inside, outside = swap_net.initial_marking, Marking({"P1": ["x"], "nope": ["y"]})
+        for m0, md in ((inside, outside), (outside, inside)):
+            with pytest.raises(KeyError, match="unknown place 'nope'"):
+                check_reachability_condition(swap_net, m0, md, 2)
 
     def test_bound_zero_only_identity(self, swap_net):
         m0 = swap_net.initial_marking

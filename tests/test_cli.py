@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from orbitpn import Marking, UnboundVariableError, cli, engine, models, trace_io
+from orbitpn import Marking, cli, engine, models, trace_io
 from orbitpn.netfile import load_net
 
 SATSAT_ARGS = [
@@ -375,11 +375,17 @@ class TestTraceDocuments:
         (lambda doc: doc["events"].append(7), "step 3: event is not a JSON object", True),
         (lambda doc: doc["events"][1].update(transition=["t2"]),
          "step 2: 'transition' is not a JSON string", True),
+        # a mode or environment the engine refuses
+        (lambda doc: doc.update(mode="loose"), "step 1: unknown containment mode 'loose'", False),
+        (lambda doc: doc.update(mode=["subset"]), "step 1: unknown containment mode ['subset']",
+         False),
+        (lambda doc: doc["events"][1]["env"].pop("eps"),
+         "step 2: unbound environment variable 'eps'", False),
     ], ids=["initial", "events", "final", "net", "env", "marking", "transition",
             "unknown-transition", "other-net", "undeclared-color", "not-enabled",
             "marking-string", "initial-list", "env-string", "env-list", "events-number",
             "marking-value-number", "final-value-number", "env-value-string", "event-number",
-            "transition-list"])
+            "transition-list", "mode-string", "mode-list", "env-unbound"])
     def test_bad_document_replay_error(self, capsys, tmp_path, damage, message, in_trace):
         out_file = tmp_path / "trace.json"
         run(
@@ -419,7 +425,7 @@ class TestTraceDocuments:
                                      satsat_envs)
         doc = trace_io.trace_document(satsat_net, trace)
         del doc["events"][1]["env"]["eps"]
-        with pytest.raises(UnboundVariableError, match="'eps'"):
+        with pytest.raises(trace_io.ReplayError, match="^step 2: unbound environment variable 'eps'$"):
             trace_io.replay(satsat_net, doc)
         doc["events"][0]["marking"] = {"P1": "x", "P2": "y"}
         with pytest.raises(trace_io.ReplayError) as exc:

@@ -27,6 +27,7 @@ from orbitpn import (
     simulate,
     step,
 )
+import reference
 from strategies import live_nets, nets
 
 SWAPPED = Marking({"P1": ["y"], "P2": ["x"]})
@@ -73,6 +74,10 @@ class TestEnabled:
         crowded = Marking({"P1": ["x", "y"], "P2": ["y"]})
         assert enabled(swap_net, crowded, "t1", {}, mode="subset") is True
         assert enabled(swap_net, crowded, "t1", {}, mode="exact") is False
+        # one net fired in both modes: each mode keeps its own token test
+        assert fire(swap_net, crowded, "t1", {}, "subset") == Marking({"P1": ["y", "y"], "P2": ["x"]})
+        with pytest.raises(NotEnabledError, match="exact-mode mismatch at 'P1'"):
+            fire(swap_net, crowded, "t1", {}, "exact")
 
     def test_unknown_mode(self, swap_net):
         with pytest.raises(ValueError):
@@ -243,12 +248,21 @@ def outcome(call, *args):
         return "raised", type(err), str(err)
 
 
+def assert_one_step_agrees(net, m, t, env, mode):
+    """Public enabled_set, enabling_failure and fire at `m` give the
+    reference's outcome."""
+    for call, ref, args in ((enabled_set, reference.enabled_set, (net, m, env, mode)),
+                            (enabling_failure, reference.enabling_failure, (net, m, t, env, mode)),
+                            (fire, reference.fire, (net, m, t, env, mode))):
+        assert outcome(call, *args) == outcome(ref, *args)
+
+
 def chained_fire(net, m0, seq, envs, mode):
-    """fire_sequence written as one public `fire` per step (the reference)."""
+    """fire_sequence written as one reference `fire` per step."""
     events, m = [], m0
     for k, (t, env) in enumerate(zip(seq, envs), start=1):
         try:
-            m = fire(net, m, t, env, mode)
+            m = reference.fire(net, m, t, env, mode)
         except NotEnabledError as err:
             raise NotEnabledError(t, err.reason, step=k,
                                   trace=Trace(net.name, m0, tuple(events))) from None
@@ -257,13 +271,13 @@ def chained_fire(net, m0, seq, envs, mode):
 
 
 def chained_simulate(net, m0, env, steps, policy, mode):
-    """simulate written as sweeps of public `enabled` and `fire` (the reference)."""
+    """simulate written as sweeps of reference `enabled` and `fire`."""
     events, m = [], m0
     for _ in range(steps):
         fired_any = False
         for t in net.transition_ids:
-            if enabled(net, m, t, env, mode):
-                m = fire(net, m, t, env, mode)
+            if reference.enabled(net, m, t, env, mode):
+                m = reference.fire(net, m, t, env, mode)
                 events.append(FiringEvent(len(events) + 1, t, dict(env), m))
                 fired_any = True
                 if policy == "single":
@@ -275,28 +289,38 @@ def chained_simulate(net, m0, env, steps, policy, mode):
 
 @st.composite
 def guarded_nets(draw):
-    """`live_nets()` in which some guard reads a variable."""
+    """`live_nets()` in which some guard reads a variable, and whose start
+    marking now and then holds a bystander token of an undeclared color
+    (which `validate_net` rejects but the engine still defines)."""
     net, env = draw(live_nets())
     if not env:
         first = net.transitions[0]
         guard = AndExpr(first.guard, Comparison("<=", VarRef("v"), NumLit(draw(st.floats(0, 10)))))
         net = dataclasses.replace(net, transitions=(Transition(first.id, guard),) + net.transitions[1:])
         env = {"v": 0.0}
+    if draw(st.integers(0, 3)) == 3:
+        marking = net.initial_marking.as_dict()
+        place = draw(st.sampled_from(net.place_ids))
+        marking[place] = marking.get(place, Multiset()) + Multiset(["undeclared"])
+        net = dataclasses.replace(net, initial_marking=Marking(marking))
     return net, env
 
 
 def some_env(data, env, unbind=False):
-    """`env` with fresh values, and with one variable left out if `unbind`."""
+    """`env` with fresh values, and with some variables left out if `unbind`
+    (several, so that the guard that raises first shows)."""
     fresh = {name: data.draw(st.floats(0, 10, allow_nan=False)) for name in env}
     if unbind:
-        del fresh[data.draw(st.sampled_from(sorted(fresh)))]
+        for name in data.draw(st.lists(st.sampled_from(sorted(fresh)), min_size=1, unique=True)):
+            del fresh[name]
     return fresh
 
 
 class TestMergedPathsAgree:
-    """fire_sequence and simulate run on the compiled slots; check them
-    against chained public `fire` on guarded nets, refusals and errors (an
-    unknown mode among them) included."""
+    """The engine runs on the compiled slots; check fire_sequence, simulate,
+    enabled_set, enabling_failure and fire against the reference rules of
+    `tests/reference.py` on guarded nets, refusals and errors (an unknown
+    mode among them) included."""
 
     @given(case=guarded_nets(), policy=st.sampled_from(("sweep", "single")),
            mode=st.sampled_from(("subset", "exact", "loose")), steps=st.integers(0, 4),
@@ -322,10 +346,11 @@ class TestMergedPathsAgree:
            data=st.data())
     def test_fire_sequence_is_chained_fire(self, case, mode, data):
         # every step fires an enabled transition, except that one step names
-        # any transition or an unknown one, and one step leaves a variable
+        # any transition or an unknown one, and one step leaves variables
         # unbound (either may fall beyond the end), so sequences run long and
         # are also refused; sampled_from leans to its first entries, so long
-        # sequences without an unbound step come up often
+        # sequences without an unbound step come up often.  Each step also
+        # checks the public one-step functions at the walk's marking.
         net, env = case
         length = data.draw(st.sampled_from(range(8, 0, -1)))
         wild = data.draw(st.integers(0, length))
@@ -335,14 +360,16 @@ class TestMergedPathsAgree:
         for k in range(length):
             envs.append(some_env(data, env, unbind=k == unbound))
             try:
-                options = enabled_set(net, m, envs[-1], walk)
+                options = reference.enabled_set(net, m, envs[-1], walk)
             except UnboundVariableError:
                 options = []
             if options and k != wild:
                 seq.append(data.draw(st.sampled_from(options)))
-                m = fire(net, m, seq[-1], envs[-1], walk)
             else:
                 seq.append(data.draw(st.sampled_from(net.transition_ids + ("t_unknown",))))
+            assert_one_step_agrees(net, m, seq[-1], envs[-1], mode)
+            if options and k != wild:
+                m = reference.fire(net, m, seq[-1], envs[-1], walk)
         got = outcome(fire_sequence, net, net.initial_marking, seq, envs, mode)
         assert got == outcome(chained_fire, net, net.initial_marking, seq, envs, mode)
 
@@ -359,8 +386,23 @@ class TestMergedPathsAgree:
         got = outcome(fire_sequence, satsat_net, m0, seq, envs, "subset")
         assert got[0] == "refused" and got[4] == step and got[3].startswith(reason)
         assert got == outcome(chained_fire, satsat_net, m0, seq, envs, "subset")
+        assert_one_step_agrees(satsat_net, got[5].final, seq[-1], envs[-1], "subset")
         assert outcome(simulate, satsat_net, m0, envs[0], 2) == outcome(
             chained_simulate, satsat_net, m0, envs[0], 2, "sweep", "subset")
+
+    @pytest.mark.parametrize("mode", ("subset", "exact"))
+    def test_empty_call_and_undeclared_bystander(self, mode):
+        # an arc calling no tokens still needs a token at its place, and a
+        # token of an undeclared color is a bystander
+        net = Net("empty_call", ("x", "y"), (Place("P1", 1), Place("P2", -1)),
+                  (Transition("t1"), Transition("t2")),
+                  (Arc("P1", "t1", Multiset()), Arc("t1", "P2", Multiset(["y"])),
+                   Arc("P2", "t2", Multiset(["y"])), Arc("t2", "P1", Multiset(["x"]))))
+        for held in ([], ["x"], ["x", "q"]):
+            for bystander in ([], ["q"]):
+                m = Marking({"P1": held, "P2": ["y"] + bystander})
+                for t in net.transition_ids:
+                    assert_one_step_agrees(net, m, t, {}, mode)
 
     def test_unknown_mode_matches_chained_fire(self, swap_net):
         # the mode is checked when the first firing is tried, not before
@@ -372,3 +414,4 @@ class TestMergedPathsAgree:
         for steps in (0, 1):
             assert outcome(simulate, swap_net, m0, {}, steps, "sweep", "loose") == outcome(
                 chained_simulate, swap_net, m0, {}, steps, "sweep", "loose")
+        assert_one_step_agrees(swap_net, m0, "t1", {}, "loose")

@@ -11,8 +11,6 @@ from orbitpn import (
     Transition,
     fire,
     incidence_matrix,
-    marking_from_vector,
-    marking_vector,
     validate_net,
 )
 from strategies import nets
@@ -165,36 +163,30 @@ class TestMarking:
 
 
 class TestMarkingVector:
+    """A marking as the compiled net's slot vector: one count per (place,
+    color), place-major, colors sorted."""
+
     def test_classifier_initial_vector(self, classes_net):
-        vec = marking_vector(classes_net, classes_net.initial_marking)
-        assert vec == [
-            Multiset(["A"]), Multiset(["B"]), Multiset(["C"]), Multiset(["D"]),
-            Multiset(), Multiset(),
-        ]
+        view = classes_net.compiled
+        assert view.colors == ("A", "B", "C", "D")
+        assert view.encode(classes_net.initial_marking) == (
+            1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1) + (0,) * 8
 
     def test_empty_marking(self, classes_net):
-        assert marking_vector(classes_net, Marking()) == [Multiset()] * 6
+        assert classes_net.compiled.encode(Marking()) == (0,) * 24
 
     def test_debris_initial_vector(self, debris_net):
-        vec = marking_vector(debris_net, debris_net.initial_marking)
-        assert vec == [Multiset(["S"]), Multiset(["D"]), Multiset(), Multiset()]
-
-    def test_unknown_place_rejected(self, classes_net):
-        with pytest.raises(KeyError):
-            marking_vector(classes_net, Marking({"nope": ["A"]}))
+        assert debris_net.compiled.encode(debris_net.initial_marking) == (0, 1, 1, 0) + (0,) * 4
 
     def test_token_count_preserved(self, debris_net):
         m = debris_net.initial_marking
-        assert sum(ms.total() for ms in marking_vector(debris_net, m)) == m.total_tokens()
+        assert sum(debris_net.compiled.encode(m)) == m.total_tokens()
 
     @given(net=nets())
     def test_round_trip_bijection(self, net):
         m = net.initial_marking
-        assert marking_from_vector(net, marking_vector(net, m)) == m
-
-    def test_from_vector_length_checked(self, classes_net):
-        with pytest.raises(ValueError):
-            marking_from_vector(classes_net, [Multiset()])
+        view = net.compiled
+        assert view.decode([view.encode(m)]) == [m]
 
 
 class TestDeclarationOrderCanonical:

@@ -82,7 +82,6 @@ class TestTypeStrictness:
 
     def test_sub_result_type(self):
         assert type(Multiset({"x": 2}) - Multiset({"x": 1})) is Multiset
-        assert type(SignedMultiset({"x": 2}) - SignedMultiset({"x": 3})) is SignedMultiset
 
 
 class TestSignedMultiset:
@@ -93,7 +92,7 @@ class TestSignedMultiset:
 
     def test_zero_normalization(self):
         assert SignedMultiset({"x": 0}) == SignedMultiset()
-        assert SignedMultiset({"x": 1}) - SignedMultiset({"x": 1}) == SignedMultiset()
+        assert SignedMultiset.difference(Multiset(["x"]), Multiset(["x"])) == SignedMultiset()
 
     def test_str_forms(self):
         assert str(SignedMultiset()) == "0"
@@ -101,23 +100,13 @@ class TestSignedMultiset:
         assert str(SignedMultiset({"S": -1})) == "-S"
         assert str(SignedMultiset({"A": 2, "B": -1})) == "2A-B"
 
-    def test_scale(self):
-        assert SignedMultiset({"x": 2}).scale(3) == SignedMultiset({"x": 6})
-        assert SignedMultiset({"x": 2}).scale(0).is_zero()
-
-    def test_to_multiset(self):
-        assert SignedMultiset({"x": 2}).to_multiset() == Multiset({"x": 2})
-        with pytest.raises(ValueError):
-            SignedMultiset({"x": -1}).to_multiset()
-
     @given(a=signed_multisets, b=signed_multisets, c=signed_multisets)
     def test_commutative_group(self, a, b, c):
         zero = SignedMultiset()
         assert (a + b) + c == a + (b + c)
         assert a + b == b + a
         assert a + zero == a
-        assert a + (-a) == zero
-        assert a - b == a + (-b)
+        assert a + SignedMultiset({color: -n for color, n in a.items()}) == zero
 
     @given(a=signed_multisets)
     def test_canonical_form_unique(self, a):

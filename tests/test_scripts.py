@@ -28,3 +28,23 @@ def test_cli_import_leaves_core_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_imports_only_the_standard_library():
+    # orbitpn has no runtime dependencies: importing every one of its modules
+    # loads nothing outside the standard library
+    code = (
+        "import importlib, pkgutil, sys\n"
+        "before = set(sys.modules)\n"
+        "import orbitpn\n"
+        "for info in pkgutil.walk_packages(orbitpn.__path__, 'orbitpn.'):\n"
+        "    importlib.import_module(info.name)\n"
+        "loaded = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(loaded - sys.stdlib_module_names - {'orbitpn'}))\n"
+        "print('orbitpn.core' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\nTrue\n"
