@@ -8,11 +8,11 @@ nonnegative integer vector X solves Md - M0 = A*X.  The condition is
 necessary, not sufficient; `reachability_graph` provides the executable
 confirmation by brute-force search.
 
-The incidence matrix here is the presentation form.  The state equation, the
-witness check and the reachability search run over `Net.compiled` (see
-`core`): the net unfolded into one integer slot per (place, color), compiled
-once per net, in which a marking is a tuple of counts and a firing adds an
-integer column.
+The incidence matrix, the state equation, the witness check and the
+reachability search all read `Net.compiled` (see `core`): the net unfolded
+into one integer slot per (place, color), compiled once per net, in which a
+marking is a tuple of counts and a firing adds an integer column.  The
+incidence matrix is the presentation form of those columns.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .engine import Trace, _check_mode
 from .model import Environment, Marking, Net
-from .multiset import Multiset, SignedMultiset
+from .multiset import SignedMultiset
 
 
 class InfeasibleMarkingError(ValueError):
@@ -54,23 +54,16 @@ class IncidenceMatrix:
 
 
 def incidence_matrix(net: Net) -> IncidenceMatrix:
-    """Entry (p, t) = output weight w(t->p) minus input weight w(p->t)."""
-    deposited: dict[tuple[str, str], Multiset] = {}
-    called: dict[tuple[str, str], Multiset] = {}
-    for t in net.transition_ids:
-        for place, w in net.inputs[t]:
-            called[(place, t)] = w
-        for place, w in net.outputs[t]:
-            deposited[(place, t)] = w
-    empty = Multiset()
-    rows = tuple(
-        tuple(
-            SignedMultiset.difference(deposited.get((p, t), empty), called.get((p, t), empty))
-            for t in net.transition_ids
-        )
-        for p in net.place_ids
-    )
-    return IncidenceMatrix(net.place_ids, net.transition_ids, rows)
+    """Entry (p, t) = output weight w(t->p) minus input weight w(p->t), read
+    off the compiled incidence columns (`CompiledNet.delta`)."""
+    view = net.compiled
+    rows = [[{} for _ in net.transition_ids] for _ in net.place_ids]
+    for j, column in enumerate(view.delta):
+        for slot, d in column:
+            place, color = divmod(slot, view.width)
+            rows[place][j][view.colors[color]] = d
+    return IncidenceMatrix(net.place_ids, net.transition_ids,
+                           tuple(tuple(map(SignedMultiset, row)) for row in rows))
 
 
 def format_incidence(matrix: IncidenceMatrix) -> str:

@@ -76,7 +76,7 @@ def _print_events(trace: engine.Trace) -> None:
 
 
 def _emit_trace(net: Net, trace: engine.Trace, mode: str, out: str | None,
-                final_env: dict[str, float] | None = None) -> dict:
+                final_env: dict[str, float]) -> dict:
     doc = trace_io.trace_document(net, trace, mode, final_env=final_env)
     if out:
         trace_io.write_trace(out, doc)
@@ -159,6 +159,10 @@ def cmd_incidence(args) -> int:
 
 def cmd_reach(args) -> int:
     net = netfile.load_net(args.path)
+    if args.bound < 0:
+        raise UsageError("--bound must be >= 0")
+    if args.max_states < 1:
+        raise UsageError("--max-states must be >= 1")
     target = netfile.parse_marking_spec(args.target, net.colors, net.place_ids)
     witness = algebra.check_reachability_condition(net, net.initial_marking, target,
                                                    args.bound)

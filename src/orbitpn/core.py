@@ -26,11 +26,9 @@ class CompiledNet:
     declared place.  The colors, sorted, are the declared ones, every color
     on an arc, and any `extra_colors`.  Per transition, in declaration order:
 
-    * ``pre[k]``: (slot, n) for each color n times called by each input arc;
     * ``delta[k]``: the nonzero (slot, d) of the transition's incidence column;
     * ``spans[k]``: (lo, hi, counts) per input arc, the arc's place slots and
-      the counts it calls there, for exact mode; empty when the transition
-      has no input arc;
+      the counts it calls there; empty when the transition has no input arc;
     * ``guards[k]``: its guard, compiled by `guard` on first use.
 
     The view holds the net's ids but not the net, so caching it on the `Net`
@@ -38,7 +36,7 @@ class CompiledNet:
     """
 
     __slots__ = ("place_ids", "transition_ids", "colors", "column", "width",
-                 "pre", "delta", "spans", "guard_exprs", "guards", "tests")
+                 "delta", "spans", "guard_exprs", "guards", "tests")
 
     def __init__(self, net: Net, extra_colors: Iterable[str] = ()):
         colors = set(net.colors).union(extra_colors)
@@ -53,23 +51,20 @@ class CompiledNet:
         self.width = width = len(self.colors)
         self.column = column = {c: j for j, c in enumerate(self.colors)}
         base = {p: i * width for i, p in enumerate(net.place_ids)}
-        self.pre, self.delta, self.spans = [], [], []
+        self.delta, self.spans = [], []
         for t in net.transition_ids:
-            pre, spans, delta = [], [], {}
+            spans, delta = [], {}
             for place, called in net.inputs[t]:
                 lo = base[place]
                 counts = [0] * width
                 for color, n in called.items():
-                    slot = lo + column[color]
-                    pre.append((slot, n))
                     counts[column[color]] = n
-                    delta[slot] = delta.get(slot, 0) - n
+                    delta[lo + column[color]] = -n
                 spans.append((lo, lo + width, tuple(counts)))
             for place, deposited in net.outputs[t]:
                 for color, n in deposited.items():
                     slot = base[place] + column[color]
                     delta[slot] = delta.get(slot, 0) + n
-            self.pre.append(tuple(pre))
             self.delta.append(tuple((s, d) for s, d in sorted(delta.items()) if d))
             self.spans.append(tuple(spans))
 
@@ -152,15 +147,18 @@ class CompiledNet:
                         if all(m[lo:hi] == counts for lo, hi, counts in spans)]
             return moves
 
-        # an arc calling no tokens still needs a token at its place
-        subset = [(ids[k], self.pre[k], self.delta[k],
-                   [(lo, hi) for lo, hi, counts in self.spans[k] if not any(counts)])
-                  for k in live]
+        subset = []
+        for k in live:
+            spans = self.spans[k]
+            calls = [(lo + j, n) for lo, _, counts in spans for j, n in enumerate(counts) if n]
+            # an arc calling no tokens still needs a token at its place
+            occupied = [(lo, hi) for lo, hi, counts in spans if not any(counts)]
+            subset.append((ids[k], calls, self.delta[k], occupied))
 
         def moves(m):
             out = []
-            for t, pre, delta, occupied in subset:
-                for slot, n in pre:
+            for t, calls, delta, occupied in subset:
+                for slot, n in calls:
                     if m[slot] < n:
                         break
                 else:

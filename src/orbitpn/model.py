@@ -130,12 +130,6 @@ class Net:
     def transition_index(self) -> dict[str, int]:
         return {t.id: i for i, t in enumerate(self.transitions)}
 
-    def place(self, pid: str) -> Place:
-        try:
-            return self.places[self.place_index[pid]]
-        except KeyError:
-            raise KeyError(f"unknown place {pid!r}") from None
-
     def transition(self, tid: str) -> Transition:
         try:
             return self.transitions[self.transition_index[tid]]

@@ -53,14 +53,6 @@ class SignedMultiset(FrozenMap):
         acc = {c: n for c, n in pairs.items() if n}
         object.__setattr__(self, "_map", acc)
 
-    @classmethod
-    def difference(cls, plus: "Multiset", minus: "Multiset") -> "SignedMultiset":
-        """plus - minus as a signed sum (how incidence entries are built)."""
-        acc = {c: n for c, n in plus.items()}
-        for c, n in minus.items():
-            acc[c] = acc.get(c, 0) - n
-        return cls(acc)
-
     def coefficient(self, color: str) -> int:
         return self._map.get(color, 0)
 

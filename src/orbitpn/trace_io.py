@@ -20,6 +20,7 @@ every intermediate marking, which is how round-trip integrity is tested.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from . import expr
 from .engine import MODES, FiringEvent, NotEnabledError, Trace, enabled_set, fire_sequence
 from .expr import UnboundVariableError, guard_variables
 from .model import Marking, Net
-from .multiset import Multiset
 
 
 class ReplayError(ValueError):
@@ -52,14 +52,7 @@ def _field(record: dict, key: str, step: int | None = None, kind: type | None = 
 
 def _weights(colors):
     """`expr.parse_weight_expr` over `colors`, parsing each distinct text once."""
-    parsed: dict[str, Multiset] = {}
-
-    def parse(text: str) -> Multiset:
-        ms = parsed.get(text)
-        if ms is None:
-            ms = parsed[text] = expr.parse_weight_expr(text, colors)
-        return ms
-    return parse
+    return functools.cache(functools.partial(expr.parse_weight_expr, colors=colors))
 
 
 def _marking_field(record: dict, key: str, parse, step: int | None = None) -> Marking:
@@ -120,12 +113,9 @@ def trace_document(net: Net, trace: Trace, mode: str = "subset",
 def trace_from_document(doc: dict, colors) -> Trace:
     """The trace a document records; raises ReplayError for a missing field,
     a field of the wrong JSON type or a marking that does not parse."""
-    return _document_trace(doc, _weights(colors))
-
-
-def _document_trace(doc: dict, parse) -> Trace:
     if not isinstance(doc, dict):
         raise ReplayError("document is not a JSON object")
+    parse = _weights(colors)
     initial = _marking_field(doc, "initial", parse)
     events = []
     for k, ev in enumerate(_field(doc, "events", kind=list), start=1):
@@ -161,8 +151,7 @@ def replay(net: Net, doc: dict) -> Marking:
     The events are re-fired in one `engine.fire_sequence` call, up to the
     first unknown transition.
     """
-    parse = _weights(net.colors)
-    trace = _document_trace(doc, parse)
+    trace = trace_from_document(doc, net.colors)
     if trace.net_name != net.name:
         raise ReplayError(f"document is for net {trace.net_name!r}, not {net.name!r}")
     mode = doc.get("mode", "subset")
@@ -200,7 +189,7 @@ def replay(net: Net, doc: dict) -> Marking:
     if known < len(events):
         raise ReplayError(f"step {events[known].step}: unknown transition {events[known].transition!r}")
     m = fired.final
-    final = _marking_field(doc, "final", parse)
+    final = _marking_field(doc, "final", _weights(net.colors))
     if m != final:
         raise ReplayError(f"final marking diverges: replay {m}, document {final}")
     return m

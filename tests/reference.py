@@ -1,8 +1,9 @@
 """Reference semantics that the differential tests compare `orbitpn` against.
 
-The firing rule stated on `Marking`s in `Multiset` arithmetic, and guards
-evaluated by walking the tree.  `orbitpn` runs both on the compiled net
-(`Net.compiled`, `expr.compile_guard`); nothing here touches that path.
+The firing rule stated on `Marking`s in `Multiset` arithmetic, guards
+evaluated by walking the tree, and the incidence matrix built arc by arc.
+`orbitpn` runs all three on the compiled net (`Net.compiled`,
+`expr.compile_guard`); nothing here touches that path.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from orbitpn import (
     NotExpr,
     NumLit,
     OrExpr,
+    SignedMultiset,
     TrueLiteral,
     UnboundVariableError,
     VarRef,
@@ -120,3 +122,19 @@ def fire(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset") -
 def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") -> list[str]:
     """All enabled transitions, in declaration order."""
     return [t for t in net.transition_ids if enabled(net, m, t, env, mode)]
+
+
+def incidence_entries(net: Net) -> tuple[tuple[SignedMultiset, ...], ...]:
+    """Entry (p, t) = output weight w(t->p) minus input weight w(p->t), from
+    the arcs (`net.inputs`, `net.outputs`); rows are places."""
+    deposited, called = {}, {}
+    for t in net.transition_ids:
+        for place, w in net.outputs[t]:
+            deposited[(place, t)] = SignedMultiset(w)
+        for place, w in net.inputs[t]:
+            called[(place, t)] = SignedMultiset({c: -n for c, n in w.items()})
+    zero = SignedMultiset()
+    return tuple(
+        tuple(deposited.get((p, t), zero) + called.get((p, t), zero) for t in net.transition_ids)
+        for p in net.place_ids
+    )

@@ -112,14 +112,15 @@ def reference_graph(net, m0, env, max_depth, max_states, mode):
 
 
 def reference_state_equation(net, m, u):
-    """M + A*u in signed-multiset arithmetic over the public incidence matrix;
-    the first negative (place, color, coefficient), or the resulting marking."""
-    matrix = incidence_matrix(net)
+    """M + A*u in signed-multiset arithmetic over the arc-level incidence
+    matrix; the first negative (place, color, coefficient), or the resulting
+    marking."""
+    entries = reference.incidence_entries(net)
     result = {}
     for i, pid in enumerate(net.place_ids):
         total = SignedMultiset(m[pid])
         for j, count in enumerate(u):
-            total = total + SignedMultiset({c: count * n for c, n in matrix.entries[i][j].items()})
+            total = total + SignedMultiset({c: count * n for c, n in entries[i][j].items()})
         for color, coeff in total.items():
             if coeff < 0:
                 return (pid, color, coeff)
@@ -186,6 +187,10 @@ class TestIncidenceMatrix:
     def test_entry_lookup(self, debris_net):
         matrix = incidence_matrix(debris_net)
         assert matrix.entry("P4", "t3") == sm({"D": -1})
+
+    @given(net=nets())
+    def test_agrees_with_arc_level_oracle(self, net):
+        assert incidence_matrix(net).entries == reference.incidence_entries(net)
 
 
 class TestApplyStateEquation:

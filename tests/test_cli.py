@@ -282,6 +282,17 @@ class TestReach:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--bound", "-1"], "--bound must be >= 0"),
+        (["--bound", "6", "--confirm", "--max-states", "0"], "--max-states must be >= 1"),
+    ])
+    def test_bad_bound_usage_error(self, capsys, flags, message):
+        code, out, err = run(capsys, "reach", models.model_path("swap_infinite"),
+                             "--target", "P1=x+y", *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
     def test_witness_without_executability(self, capsys, tmp_path):
         # the algebraic condition holds, but the guard forbids every firing
         code, out, _ = run(

@@ -85,14 +85,9 @@ class TestTypeStrictness:
 
 
 class TestSignedMultiset:
-    def test_difference(self):
-        d = SignedMultiset.difference(Multiset({"y": 1}), Multiset({"x": 1}))
-        assert d == SignedMultiset({"y": 1, "x": -1})
-        assert str(d) == "y-x"
-
     def test_zero_normalization(self):
         assert SignedMultiset({"x": 0}) == SignedMultiset()
-        assert SignedMultiset.difference(Multiset(["x"]), Multiset(["x"])) == SignedMultiset()
+        assert SignedMultiset({"x": 1}) + SignedMultiset({"x": -1}) == SignedMultiset()
 
     def test_str_forms(self):
         assert str(SignedMultiset()) == "0"
