@@ -17,13 +17,12 @@ incidence matrix is the presentation form of those columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
 from .engine import Trace, _check_mode
 from .model import Environment, Marking, Net
-from .multiset import SignedMultiset
+from .multiset import Record, SignedMultiset
 
 
 class InfeasibleMarkingError(ValueError):
@@ -39,8 +38,8 @@ class InfeasibleMarkingError(ValueError):
         self.coefficient = coefficient
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
+class IncidenceMatrix(Record):
+    __slots__ = __match_args__ = ("place_ids", "transition_ids", "entries")
     place_ids: tuple[str, ...]
     transition_ids: tuple[str, ...]
     entries: tuple[tuple[SignedMultiset, ...], ...]  # rows: places, columns: transitions
@@ -176,9 +175,9 @@ def verify_sequence_consistency(net: Net, trace: Trace) -> bool:
     return predicted == trace.final
 
 
-@dataclass(frozen=True)
-class ReachabilityGraph:
+class ReachabilityGraph(Record):
     """Breadth-first closure of a marking under single firings, within bounds."""
+    __slots__ = __match_args__ = ("nodes", "depths", "edges", "deadlocks", "truncated")
     nodes: tuple[Marking, ...]
     depths: tuple[int, ...]
     edges: tuple[tuple[int, str, int], ...]  # (source node, transition, target node)

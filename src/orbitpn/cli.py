@@ -2,19 +2,19 @@
 
 Exit codes are a stable contract for scripts: 0 success, 1 semantic failure
 (structural violations, a firing that is not enabled, no witness under
---expect), 2 usage or parse errors.
+--expect), 2 usage or parse errors.  Each subcommand imports the layers it
+runs, so a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
-from . import algebra, engine, netfile, trace_io
+from . import netfile
 from .expr import UnboundVariableError
-from .model import Net, validate_net
+from .model import MODES, Net, validate_net
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -68,19 +68,19 @@ def _collect_env_at(values: list[str] | None, n_steps: int) -> dict[int, dict[st
     return overrides
 
 
-def _print_events(trace: engine.Trace) -> None:
+def _print_events(trace) -> None:
     for ev in trace.events:
         env_text = ", ".join(f"{k}={v:g}" for k, v in sorted(ev.env_snapshot.items()))
         suffix = f"   [{env_text}]" if env_text else ""
         print(f"  step {ev.step}: {ev.transition} -> {ev.marking_after}{suffix}")
 
 
-def _emit_trace(net: Net, trace: engine.Trace, mode: str, out: str | None,
-                final_env: dict[str, float]) -> dict:
-    doc = trace_io.trace_document(net, trace, mode, final_env=final_env)
+def _write_trace(net: Net, trace, mode: str, out: str | None,
+                 final_env: dict[str, float]) -> None:
+    """Write the trace document to `out`, if one is given."""
     if out:
-        trace_io.write_trace(out, doc)
-    return doc
+        from . import trace_io
+        trace_io.write_trace(out, trace_io.trace_document(net, trace, mode, final_env=final_env))
 
 
 def cmd_validate(args) -> int:
@@ -105,6 +105,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_fire(args) -> int:
+    from . import engine
     net = netfile.load_net(args.path)
     seq = [t.strip() for t in args.seq.split(",") if t.strip()]
     for t in seq:
@@ -118,31 +119,35 @@ def cmd_fire(args) -> int:
     except engine.NotEnabledError as err:
         print(f"error: {err}", file=sys.stderr)
         if err.trace is not None:
-            _emit_trace(net, err.trace, args.mode, args.out, final_env=envs[err.step - 1])
+            _write_trace(net, err.trace, args.mode, args.out, final_env=envs[err.step - 1])
             print(f"prefix trace ({len(err.trace.events)} event(s)):")
             _print_events(err.trace)
             print(f"marking before failure: {err.trace.final}")
         return EXIT_SEMANTIC
-    _emit_trace(net, trace, args.mode, args.out, final_env=envs[-1] if envs else base)
+    _write_trace(net, trace, args.mode, args.out, final_env=envs[-1] if envs else base)
     _print_events(trace)
     print(f"final marking: {trace.final}")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
+    from . import engine
     net = netfile.load_net(args.path)
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     env = _collect_env(args.env)
     trace = engine.simulate(net, net.initial_marking, env, args.steps, args.policy)
-    doc = _emit_trace(net, trace, "subset", args.out, final_env=env)
+    deadlock = not engine.enabled_set(net, trace.final, env, "subset")
+    _write_trace(net, trace, "subset", args.out, final_env=env)
     _print_events(trace)
     print(f"final marking: {trace.final}")
-    print(f"events: {len(trace.events)}; deadlock: {'yes' if doc['deadlock'] else 'no'}")
+    print(f"events: {len(trace.events)}; deadlock: {'yes' if deadlock else 'no'}")
     return EXIT_OK
 
 
 def cmd_incidence(args) -> int:
+    import json
+    from . import algebra
     net = netfile.load_net(args.path)
     matrix = algebra.incidence_matrix(net)
     if args.format == "grid":
@@ -158,6 +163,7 @@ def cmd_incidence(args) -> int:
 
 
 def cmd_reach(args) -> int:
+    from . import algebra
     net = netfile.load_net(args.path)
     if args.bound < 0:
         raise UsageError("--bound must be >= 0")
@@ -207,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base environment bindings (repeatable)")
     p.add_argument("--env-at", action="append", metavar="STEP:NAME=VALUE[,...]",
                    help="per-step overrides, steps are 1-based (repeatable)")
-    p.add_argument("--mode", choices=engine.MODES, default="subset")
+    p.add_argument("--mode", choices=MODES, default="subset")
     p.add_argument("--out", help="write the trace document (JSON) here")
     p.set_defaults(func=cmd_fire)
 
@@ -250,10 +256,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (netfile.NetFileError, UnboundVariableError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as err:
+    except (netfile.NetFileError, UnboundVariableError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -22,12 +22,10 @@ say which condition failed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .model import Environment, Marking, Net
-
-MODES = ("subset", "exact")
+from .model import MODES, Environment, Marking, Net
+from .multiset import Record
 
 
 class NotEnabledError(RuntimeError):
@@ -43,23 +41,26 @@ class NotEnabledError(RuntimeError):
         self.trace = trace
 
 
-@dataclass(frozen=True)
-class FiringEvent:
+class FiringEvent(Record):
     """One firing: 1-based step index, transition id, and the state it produced."""
-    step: int
-    transition: str
-    env_snapshot: dict[str, float]
-    marking_after: Marking
+    __slots__ = __match_args__ = ("step", "transition", "env_snapshot", "marking_after")
+
+    # one is built per firing, so the fields are set here, not by `Record`
+    def __init__(self, step: int, transition: str, env_snapshot: dict[str, float],
+                 marking_after: Marking):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "env_snapshot", env_snapshot)
+        object.__setattr__(self, "marking_after", marking_after)
 
 
-@dataclass(frozen=True)
-class Trace:
-    net_name: str
-    initial: Marking
-    events: tuple[FiringEvent, ...] = ()
+class Trace(Record):
+    __slots__ = __match_args__ = ("net_name", "initial", "events")
 
-    def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
+    def __init__(self, net_name: str, initial: Marking, events=()):
+        object.__setattr__(self, "net_name", net_name)
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "events", tuple(events))
 
     @property
     def final(self) -> Marking:

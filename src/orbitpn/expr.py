@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from types import CodeType, FunctionType
 from typing import Callable, Collection, Mapping, Union
 from weakref import WeakValueDictionary
 
-from .multiset import Multiset
+from .multiset import Multiset, Record
 
 
 class ParseError(ValueError):
@@ -54,54 +53,40 @@ class UnboundVariableError(LookupError):
 # ---------------------------------------------------------------------------
 # guard AST
 
-@dataclass(frozen=True)
-class NumLit:
-    value: float
+class NumLit(Record):
+    __slots__ = __match_args__ = ("value",)
 
 
-@dataclass(frozen=True)
-class VarRef:
-    name: str
+class VarRef(Record):
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Arith:
+class Arith(Record):
     """Binary '+'/'-' over numeric operands (left-associative)."""
-    op: str
-    lhs: "NumExpr"
-    rhs: "NumExpr"
+    __slots__ = __match_args__ = ("op", "lhs", "rhs")
 
 
 NumExpr = Union[NumLit, VarRef, Arith]
 
 
-@dataclass(frozen=True)
-class TrueLiteral:
-    pass
+class TrueLiteral(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Comparison:
-    op: str
-    lhs: NumExpr
-    rhs: NumExpr
+class Comparison(Record):
+    __slots__ = __match_args__ = ("op", "lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class NotExpr:
-    operand: "GuardExpr"
+class NotExpr(Record):
+    __slots__ = __match_args__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class AndExpr:
-    lhs: "GuardExpr"
-    rhs: "GuardExpr"
+class AndExpr(Record):
+    __slots__ = __match_args__ = ("lhs", "rhs")
 
 
-@dataclass(frozen=True)
-class OrExpr:
-    lhs: "GuardExpr"
-    rhs: "GuardExpr"
+class OrExpr(Record):
+    __slots__ = __match_args__ = ("lhs", "rhs")
 
 
 GuardExpr = Union[TrueLiteral, Comparison, NotExpr, AndExpr, OrExpr]

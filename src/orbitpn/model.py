@@ -15,13 +15,12 @@ instead of raising, so partially-built nets can be diagnosed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
-from .expr import TRUE, GuardExpr
-from .multiset import FrozenMap, Multiset
+from .expr import TRUE
+from .multiset import FrozenMap, Multiset, Record
 
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
@@ -30,26 +29,23 @@ _EMPTY = Multiset()
 #: External scalar bindings read by guards (collision_prob, clock, user variables).
 Environment = Mapping[str, float]
 
+#: Containment readings of token calling (see `engine`).
+MODES = ("subset", "exact")
 
-@dataclass(frozen=True)
-class Place:
+
+class Place(Record):
     """One directed cyclic orbit; rotation is +1 (clockwise) or -1 (anticlockwise)."""
-    id: str
-    rotation: int
+    __slots__ = __match_args__ = ("id", "rotation")
 
 
-@dataclass(frozen=True)
-class Transition:
-    id: str
-    guard: GuardExpr = TRUE
+class Transition(Record):
+    __slots__ = __match_args__ = ("id", "guard")
+    _defaults = {"guard": TRUE}
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Record):
     """Directed arc between a place and a transition, labeled by a token calling."""
-    source: str
-    target: str
-    weight: Multiset
+    __slots__ = __match_args__ = ("source", "target", "weight")
 
 
 class Marking(FrozenMap):
@@ -94,20 +90,15 @@ class Marking(FrozenMap):
         return ", ".join(f"{p}={ms}" for p, ms in self.items())
 
 
-@dataclass(frozen=True)
-class Net:
-    name: str
-    colors: tuple[str, ...]
-    places: tuple[Place, ...]
-    transitions: tuple[Transition, ...]
-    arcs: tuple[Arc, ...]
-    initial_marking: Marking = field(default_factory=Marking)
+class Net(Record):
+    __match_args__ = ("name", "colors", "places", "transitions", "arcs", "initial_marking")
+    __slots__ = __match_args__ + ("__dict__",)  # the cached properties live in __dict__
+    _defaults = {"initial_marking": Marking()}
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        object.__setattr__(self, "places", tuple(self.places))
-        object.__setattr__(self, "transitions", tuple(self.transitions))
-        object.__setattr__(self, "arcs", tuple(self.arcs))
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name in ("colors", "places", "transitions", "arcs"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def order(self) -> int:
@@ -124,7 +115,13 @@ class Net:
 
     @cached_property
     def place_index(self) -> dict[str, int]:
-        return {p.id: i for i, p in enumerate(self.places)}
+        """Declaration index per place id; a duplicate id is a ValueError,
+        with the text `validate_net` reports for it."""
+        index: dict[str, int] = {}
+        for i, p in enumerate(self.places):
+            if index.setdefault(p.id, i) != i:
+                raise ValueError(f"place {p.id!r}: duplicate id")
+        return index
 
     @cached_property
     def transition_index(self) -> dict[str, int]:

@@ -1,4 +1,4 @@
-"""Formal sums of token colors: signed ones, and the multisets among them.
+"""Immutable value types: formal sums of token colors, and named-field records.
 
 A `SignedMultiset` is a formal sum of color names with integer coefficients;
 incidence-matrix entries such as "y-x" live there.  A `Multiset` is the
@@ -6,6 +6,9 @@ non-negative case: the content of an orbit and the value of an arc weight
 expression ("A+C" is the multiset {A: 1, C: 1}).  Both types are immutable
 and hashable, so markings can be used as graph nodes.  The two types never
 compare equal and do not mix under `+` or `-`.
+
+`Record` is the base of the other immutable values: nets and their parts,
+guard trees, traces and analysis results.
 """
 
 from __future__ import annotations
@@ -43,10 +46,55 @@ class FrozenMap:
         return f"{type(self).__name__}({dict(self.items())!r})"
 
 
+class Record:
+    """Immutable value with the fields `__match_args__` names, kept in `__slots__`.
+
+    Fields are given by position or keyword; `_defaults` holds values for the
+    trailing ones.  Equality, hashing and repr go by the field values in order,
+    and records of different classes never compare equal.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self.__match_args__
+        given = dict(zip(fields, args), **kwargs)
+        values = {**self._defaults, **given}
+        if len(given) != len(args) + len(kwargs) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
+        for name in fields:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 class SignedMultiset(FrozenMap):
     """Formal sum of colors with integer coefficients; zero terms are not stored."""
 
-    __slots__ = ()
+    __slots__ = ("_text",)  # the canonical text, once `__str__` has made it
 
     def __init__(self, coeffs: Mapping[str, int] = ()):
         pairs = coeffs._map if isinstance(coeffs, SignedMultiset) else dict(coeffs)
@@ -66,11 +114,16 @@ class SignedMultiset(FrozenMap):
 
     def __str__(self) -> str:
         """Canonical text: positive terms before negative ones, each run sorted by color."""
+        try:
+            return self._text
+        except AttributeError:
+            pass
         text = ""
         for color, n in sorted(self._map.items(), key=lambda term: (term[1] < 0, term[0])):
             sign = "-" if n < 0 else "+" if text else ""
             text += sign + (color if abs(n) == 1 else f"{abs(n)}{color}")
-        return text or "0"
+        object.__setattr__(self, "_text", text or "0")
+        return self._text
 
 
 class Multiset(SignedMultiset):

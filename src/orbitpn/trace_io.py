@@ -25,9 +25,9 @@ import json
 from pathlib import Path
 
 from . import expr
-from .engine import MODES, FiringEvent, NotEnabledError, Trace, enabled_set, fire_sequence
+from .engine import FiringEvent, NotEnabledError, Trace, enabled_set, fire_sequence
 from .expr import UnboundVariableError, guard_variables
-from .model import Marking, Net
+from .model import MODES, Marking, Net
 
 
 class ReplayError(ValueError):

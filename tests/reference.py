@@ -4,10 +4,14 @@ The firing rule stated on `Marking`s in `Multiset` arithmetic, guards
 evaluated by walking the tree, and the incidence matrix built arc by arc.
 `orbitpn` runs all three on the compiled net (`Net.compiled`,
 `expr.compile_guard`); nothing here touches that path.
+
+Also the canonical text of a formal sum, formatted afresh on every call, and
+the records (`orbitpn.multiset.Record`) defined as frozen dataclasses.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from typing import Mapping
 
@@ -23,11 +27,13 @@ from orbitpn import (
     NumLit,
     OrExpr,
     SignedMultiset,
+    TRUE,
     TrueLiteral,
     UnboundVariableError,
     VarRef,
 )
 from orbitpn.engine import MODES
+from orbitpn.multiset import Record
 
 _COMPARE = {
     "<": operator.lt,
@@ -138,3 +144,127 @@ def incidence_entries(net: Net) -> tuple[tuple[SignedMultiset, ...], ...]:
         tuple(deposited.get((p, t), zero) + called.get((p, t), zero) for t in net.transition_ids)
         for p in net.place_ids
     )
+
+
+def format_sum(coeffs: Mapping[str, int]) -> str:
+    """Canonical text of a formal sum: positive terms before negative ones,
+    each run sorted by color, a coefficient of 1 left out; "0" when empty."""
+    terms = sorted(((c, n) for c, n in coeffs.items() if n), key=lambda t: (t[1] < 0, t[0]))
+    text = "".join(("-" if n < 0 else "+") + ("" if abs(n) == 1 else str(abs(n))) + c
+                   for c, n in terms)
+    return text.removeprefix("+") or "0"
+
+
+class DataclassTwins:
+    """Each `Record` of orbitpn as the frozen dataclass it was before `Record`:
+    the same class name, fields, defaults and field conversions."""
+
+    @dataclasses.dataclass(frozen=True)
+    class NumLit:
+        value: float
+
+    @dataclasses.dataclass(frozen=True)
+    class VarRef:
+        name: str
+
+    @dataclasses.dataclass(frozen=True)
+    class Arith:
+        op: str
+        lhs: object
+        rhs: object
+
+    @dataclasses.dataclass(frozen=True)
+    class TrueLiteral:
+        pass
+
+    @dataclasses.dataclass(frozen=True)
+    class Comparison:
+        op: str
+        lhs: object
+        rhs: object
+
+    @dataclasses.dataclass(frozen=True)
+    class NotExpr:
+        operand: object
+
+    @dataclasses.dataclass(frozen=True)
+    class AndExpr:
+        lhs: object
+        rhs: object
+
+    @dataclasses.dataclass(frozen=True)
+    class OrExpr:
+        lhs: object
+        rhs: object
+
+    @dataclasses.dataclass(frozen=True)
+    class Place:
+        id: str
+        rotation: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Transition:
+        id: str
+        guard: object = TRUE
+
+    @dataclasses.dataclass(frozen=True)
+    class Arc:
+        source: str
+        target: str
+        weight: Multiset
+
+    @dataclasses.dataclass(frozen=True)
+    class Net:
+        name: str
+        colors: tuple
+        places: tuple
+        transitions: tuple
+        arcs: tuple
+        initial_marking: Marking = dataclasses.field(default_factory=Marking)
+
+        def __post_init__(self):
+            object.__setattr__(self, "colors", tuple(self.colors))
+            object.__setattr__(self, "places", tuple(self.places))
+            object.__setattr__(self, "transitions", tuple(self.transitions))
+            object.__setattr__(self, "arcs", tuple(self.arcs))
+
+    @dataclasses.dataclass(frozen=True)
+    class FiringEvent:
+        step: int
+        transition: str
+        env_snapshot: dict
+        marking_after: Marking
+
+    @dataclasses.dataclass(frozen=True)
+    class Trace:
+        net_name: str
+        initial: Marking
+        events: tuple = ()
+
+        def __post_init__(self):
+            object.__setattr__(self, "events", tuple(self.events))
+
+    @dataclasses.dataclass(frozen=True)
+    class IncidenceMatrix:
+        place_ids: tuple
+        transition_ids: tuple
+        entries: tuple
+
+    @dataclasses.dataclass(frozen=True)
+    class ReachabilityGraph:
+        nodes: tuple
+        depths: tuple
+        edges: tuple
+        deadlocks: tuple
+        truncated: bool
+
+
+def dataclass_twin(value):
+    """`value` with every `Record` or twin in it, also inside tuples and
+    lists, rebuilt as its `DataclassTwins` class."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(dataclass_twin, value))
+    if isinstance(value, Record) or dataclasses.is_dataclass(value):
+        twin = getattr(DataclassTwins, type(value).__name__)
+        return twin(*(dataclass_twin(getattr(value, f)) for f in type(value).__match_args__))
+    return value

@@ -1,7 +1,5 @@
 """Hypothesis strategies shared by the property tests."""
 
-import dataclasses
-
 from hypothesis import strategies as st
 
 from orbitpn import (
@@ -74,6 +72,11 @@ guards = st.recursive(
 )
 
 
+def replace_net(net: Net, **changes) -> Net:
+    """A copy of `net` with the given fields changed."""
+    return Net(**{name: changes.get(name, getattr(net, name)) for name in Net.__match_args__})
+
+
 @st.composite
 def nets(draw, max_places=5, max_transitions=4, max_colors=4, max_tokens_per_place=3):
     """Random guardless net that passes validation by construction."""
@@ -111,7 +114,7 @@ def live_nets(draw):
     Some input arcs call no tokens, which `validate_net` rejects but the
     engine still defines; drawing one makes some places start empty."""
     net = draw(nets())
-    net = dataclasses.replace(net, arcs=tuple(
+    net = replace_net(net, arcs=tuple(
         Arc(a.source, a.target, Multiset())
         if a.target in net.transition_index and draw(st.integers(0, 3)) == 0 else a
         for a in net.arcs))
@@ -126,5 +129,4 @@ def live_nets(draw):
                         for t in net.transitions)
     names = sorted(set().union(*(guard_variables(t.guard) for t in transitions)))
     env = {name: draw(st.floats(0, 10, allow_nan=False)) for name in names}
-    return dataclasses.replace(net, transitions=transitions,
-                               initial_marking=Marking(marking)), env
+    return replace_net(net, transitions=transitions, initial_marking=Marking(marking)), env

@@ -163,6 +163,20 @@ class TestFire:
         assert doc["events"][0]["env"]["T1"] == 5.0
         assert doc["events"][1]["env"]["clock"] == 6.0
 
+    def test_unfired_guard_read_only_for_the_document(self, capsys, tmp_path):
+        # t2's guard reads eps; only the trace document's deadlock flag
+        # evaluates it, so only --out needs it bound
+        argv = ("fire", models.model_path("satellite_swap"), "--seq", "t1",
+                "--env", "collision_prob=0.5,clock=5,T1=5")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "final marking: P1=y, P2=x" in out
+        out_file = tmp_path / "trace.json"
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert code == 2
+        assert "unbound environment variable 'eps'" in err
+        assert out == "" and not out_file.exists()
+
     def test_exact_mode_flag(self, capsys):
         code, out, _ = run(capsys, "fire", models.model_path("swap_infinite"),
                            "--seq", "t1,t2", "--mode", "exact")

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,7 +26,7 @@ from orbitpn import (
     step,
 )
 import reference
-from strategies import live_nets, nets
+from strategies import live_nets, nets, replace_net
 
 SWAPPED = Marking({"P1": ["y"], "P2": ["x"]})
 
@@ -296,13 +294,13 @@ def guarded_nets(draw):
     if not env:
         first = net.transitions[0]
         guard = AndExpr(first.guard, Comparison("<=", VarRef("v"), NumLit(draw(st.floats(0, 10)))))
-        net = dataclasses.replace(net, transitions=(Transition(first.id, guard),) + net.transitions[1:])
+        net = replace_net(net, transitions=(Transition(first.id, guard),) + net.transitions[1:])
         env = {"v": 0.0}
     if draw(st.integers(0, 3)) == 3:
         marking = net.initial_marking.as_dict()
         place = draw(st.sampled_from(net.place_ids))
         marking[place] = marking.get(place, Multiset()) + Multiset(["undeclared"])
-        net = dataclasses.replace(net, initial_marking=Marking(marking))
+        net = replace_net(net, initial_marking=Marking(marking))
     return net, env
 
 

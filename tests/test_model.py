@@ -1,19 +1,28 @@
+import copy
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from orbitpn import (
+    AndExpr,
     Arc,
     Marking,
     Multiset,
     Net,
+    OrExpr,
     Place,
     Transition,
+    apply_state_equation,
+    enabled_set,
     fire,
     incidence_matrix,
+    reachability_graph,
+    simulate,
     validate_net,
 )
-from strategies import nets
+from reference import dataclass_twin
+from strategies import guards, live_nets, nets
 
 
 def one_shot_swap():
@@ -127,6 +136,20 @@ class TestValidateNet:
             with pytest.raises(ValueError, match=f"^{label}: duplicate arc$"):
                 use()
 
+    def test_duplicate_place_is_a_value_error_in_use(self):
+        # the net of the state-equation example with P1 declared twice: every
+        # analysis reports the place that validate_net reports, instead of
+        # running on one copy of it
+        net = Net("dup", ("x",), (Place("P1", 1), Place("P1", -1)), (Transition("t1"),),
+                  (Arc("P1", "t1", Multiset(["x"])),), Marking({"P1": ["x"]}))
+        assert validate_net(net) == ["place 'P1': duplicate id"]
+        m = net.initial_marking
+        for use in (lambda: apply_state_equation(net, m, (1,)), lambda: incidence_matrix(net),
+                    lambda: enabled_set(net, m, {}), lambda: reachability_graph(net, m, {}, 2, 10),
+                    lambda: net.place_index):
+            with pytest.raises(ValueError, match="^place 'P1': duplicate id$"):
+                use()
+
     @given(net=nets())
     def test_generated_nets_valid(self, net):
         assert validate_net(net) == []
@@ -210,3 +233,70 @@ class TestDeclarationOrderCanonical:
         m1 = fire(satsat_net, satsat_net.initial_marking, "t1", satsat_envs[0])
         m2 = fire(reordered, reordered.initial_marking, "t1", satsat_envs[0])
         assert m1 == m2
+
+
+def _outcome(call):
+    """What `call()` returns, or the exception type it raises."""
+    try:
+        return call()
+    except Exception as err:  # the exception type is the outcome
+        return type(err)
+
+
+def _shown(call):
+    """The repr of what `call()` returns, twin class names unqualified, or
+    the exception type it raises."""
+    outcome = _outcome(call)
+    return outcome if isinstance(outcome, type) else repr(outcome).replace("DataclassTwins.", "")
+
+
+class TestRecords:
+    """Every `Record` behaves as the frozen dataclass it replaced
+    (`reference.DataclassTwins`)."""
+
+    @given(data=st.data())
+    def test_records_behave_as_their_dataclass_twins(self, data):
+        net, env = data.draw(live_nets())
+        trace = simulate(net, net.initial_marking, env, 3)
+        drawn = data.draw(st.lists(guards, min_size=1, max_size=3))
+        # records of two classes with the same field values
+        pairs = [cls(g, g) for g in drawn for cls in (AndExpr, OrExpr)]
+        values = [net, *net.places, *net.transitions, *net.arcs, trace, *trace.events,
+                  incidence_matrix(net), reachability_graph(net, net.initial_marking, env, 3, 40),
+                  *drawn, *pairs]
+        values += [type(x)(**{f: getattr(x, f) for f in x.__match_args__}) for x in values]
+        twins = [dataclass_twin(x) for x in values]
+        for x, twin in zip(values, twins):
+            cls, twin_cls = type(x), type(twin)
+            assert cls.__name__ == twin_cls.__name__
+            assert cls.__match_args__ == twin_cls.__match_args__
+            assert repr(x) == repr(twin).replace("DataclassTwins.", "")
+            assert _outcome(lambda: hash(x)) == _outcome(lambda: hash(twin))
+            assert copy.copy(x) == x
+            args = [getattr(x, f) for f in x.__match_args__]
+            twin_args = [getattr(twin, f) for f in x.__match_args__]
+            # defaults, too few, too many and repeated arguments
+            for k in range(len(args) + 2):
+                assert _shown(lambda: cls(*args[:k])) == _shown(lambda: twin_cls(*twin_args[:k]))
+            assert _outcome(lambda: cls(*args, None)) is _outcome(lambda: twin_cls(*twin_args, None))
+            if args:
+                name = x.__match_args__[0]
+                assert _outcome(lambda: cls(*args, **{name: args[0]})) is TypeError
+                assert _outcome(lambda: twin_cls(*twin_args, **{name: twin_args[0]})) is TypeError
+            assert _outcome(lambda: cls(*args, unknown=1)) is TypeError
+            # keyword construction, sequences given as lists
+            listed = {f: list(v) if isinstance(v, tuple) else v for f, v in zip(x.__match_args__, args)}
+            twin_listed = {f: list(v) if isinstance(v, tuple) else v
+                           for f, v in zip(x.__match_args__, twin_args)}
+            assert _shown(lambda: cls(**listed)) == _shown(lambda: twin_cls(**twin_listed))
+            # refused assignment and deletion, fields unchanged
+            for name in (*x.__match_args__, "other"):
+                for change in (lambda o: setattr(o, name, None), lambda o: delattr(o, name)):
+                    # the dataclass raises FrozenInstanceError, an AttributeError
+                    assert _outcome(lambda: change(x)) is AttributeError
+                    assert issubclass(_outcome(lambda: change(twin)), AttributeError)
+            assert dataclass_twin(x) == twin
+        for x, twin_x in zip(values, twins):
+            for y, twin_y in zip(values, twins):
+                assert (x == y) == (twin_x == twin_y)
+                assert (x != y) == (twin_x != twin_y)

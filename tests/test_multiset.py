@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from orbitpn import Multiset, SignedMultiset
-from strategies import signed_multisets
+from reference import format_sum
+from strategies import identifiers, signed_multisets
 
 
 class TestMultiset:
@@ -108,3 +110,31 @@ class TestSignedMultiset:
         rebuilt = SignedMultiset(dict(a.items()))
         assert rebuilt == a
         assert hash(rebuilt) == hash(a)
+
+
+class TestCanonicalText:
+    """`str` keeps each sum's text once it is made; that text must stay the
+    one a fresh formatting gives (`reference.format_sum`)."""
+
+    @given(coeffs=st.dictionaries(identifiers, st.integers(-5, 5), max_size=4),
+           other=signed_multisets)
+    def test_str_matches_fresh_formatting(self, coeffs, other):
+        unsigned = {c: abs(n) for c, n in coeffs.items()}
+        for value, terms in ((SignedMultiset(coeffs), coeffs), (Multiset(unsigned), unsigned)):
+            want = format_sum(terms)
+            before = (hash(value), value.items(), repr(value))
+            assert str(value) == want  # made
+            assert f"{value}" == str(value) == want
+            assert str(value) is str(value)  # kept, not made again
+            assert (hash(value), value.items(), repr(value)) == before
+            assert value == type(value)(terms)
+            with pytest.raises(AttributeError):
+                value._text = "changed"
+            with pytest.raises(AttributeError):
+                value._map = {}
+            assert str(value) == want
+            # sums built from ones whose text is kept get their own text
+            str(other)
+            total = SignedMultiset(value) + other
+            assert str(total) == format_sum(dict(total.items()))
+            assert str(type(value)(value)) == want
