@@ -11,8 +11,8 @@ confirmation by brute-force search.
 The incidence matrix, the state equation, the witness check and the
 reachability search all read `Net.compiled` (see `core`): the net unfolded
 into one integer slot per (place, color), compiled once per net, in which a
-marking is a tuple of counts and a firing adds an integer column.  The
-incidence matrix is the presentation form of those columns.
+marking is a tuple of counts (one packed int in the search) and a firing
+adds an integer column.  The incidence matrix shows those columns.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ def apply_state_equation(net: Net, m: Marking, u: Sequence[int]) -> Marking:
         if n < 0:
             place, color = divmod(slot, view.width)
             raise InfeasibleMarkingError(net.place_ids[place], view.colors[color], n)
-    return view.decode([tuple(vec)])[0]
+    packed, size = view.pack(vec)
+    return view.decode([packed], size)[0]
 
 
 def check_reachability_condition(net: Net, m0: Marking, md: Marking,
@@ -200,7 +201,7 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     `max_depth` firings or `max_states` distinct markings; `truncated` is set
     when either bound actually cut the search short.
 
-    The search runs over the compiled slot vectors of the net
+    The search runs over the packed markings of the compiled net
     (`CompiledNet.explore`); nodes become `Marking`s once, at the end.
     """
     if max_depth < 0 or max_states < 1:
@@ -212,7 +213,5 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     # declaration order, as the checks at the first state would: an unbound
     # variable raises whether or not any transition is token-enabled.
     live = [k for k in range(len(net.transitions)) if view.guard(k)(env)]
-    nodes, depths, edges, deadlocks, truncated = view.explore(
-        view.encode(m0), live, mode, max_depth, max_states)
-    return ReachabilityGraph(tuple(view.decode(nodes, m0)), tuple(depths), tuple(edges),
-                             tuple(deadlocks), truncated)
+    nodes, depths, edges, deadlocks, truncated = view.explore(m0, live, mode, max_depth, max_states)
+    return ReachabilityGraph(tuple(nodes), tuple(depths), tuple(edges), tuple(deadlocks), truncated)

@@ -136,9 +136,9 @@ def cmd_simulate(args) -> int:
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
     env = _collect_env(args.env)
-    trace = engine.simulate(net, net.initial_marking, env, args.steps, args.policy)
-    deadlock = not engine.enabled_set(net, trace.final, env, "subset")
-    _write_trace(net, trace, "subset", args.out, final_env=env)
+    trace = engine.simulate(net, net.initial_marking, env, args.steps, args.policy, args.mode)
+    deadlock = not engine.enabled_set(net, trace.final, env, args.mode)
+    _write_trace(net, trace, args.mode, args.out, final_env=env)
     _print_events(trace)
     print(f"final marking: {trace.final}")
     print(f"events: {len(trace.events)}; deadlock: {'yes' if deadlock else 'no'}")
@@ -182,8 +182,8 @@ def cmd_reach(args) -> int:
               "for executable reachability")
     if args.confirm:
         env = _collect_env(args.env)
-        graph = algebra.reachability_graph(net, net.initial_marking, env,
-                                           max_depth=args.bound, max_states=args.max_states)
+        graph = algebra.reachability_graph(net, net.initial_marking, env, max_depth=args.bound,
+                                           max_states=args.max_states, mode=args.mode)
         where = graph.index_of(target)
         if where is None:
             extra = " (search truncated)" if graph.truncated else ""
@@ -222,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--policy", choices=("sweep", "single"), default="sweep")
     p.add_argument("--env", action="append", metavar="NAME=VALUE[,NAME=VALUE...]")
+    p.add_argument("--mode", choices=MODES, default="subset")
     p.add_argument("--out", help="write the trace document (JSON) here")
     p.set_defaults(func=cmd_simulate)
 
@@ -241,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", action="append", metavar="NAME=VALUE[,NAME=VALUE...]",
                    help="guard bindings for --confirm")
     p.add_argument("--max-states", type=int, default=10000)
+    p.add_argument("--mode", choices=MODES, default="subset", help="containment mode for --confirm")
     p.add_argument("--expect", action="store_true",
                    help="exit 1 when no witness is found")
     p.set_defaults(func=cmd_reach)

@@ -6,6 +6,11 @@ marking becomes a vector of counts and a firing adds an integer column, so
 the bulk analyses in `algebra` and the firing loops in `engine` hash,
 compare and add plain integers instead of formal sums.
 
+The firing kernel packs the vector into one int, whole bytes per slot, as
+explicit-state model checkers pack a state into one word (Holzmann, IEEE
+TSE 23(5), 1997): a token test is one subtraction and a firing one addition.
+Each call sizes the fields from the firings it can make (`pack`).
+
 `Net.compiled` builds a `CompiledNet` on first use and imports this module
 only then: most `opn` runs never need it and do not pay to load it.
 """
@@ -31,12 +36,15 @@ class CompiledNet:
       the counts it calls there; empty when the transition has no input arc;
     * ``guards[k]``: its guard, compiled by `guard` on first use.
 
+    ``peak`` is the largest count an arc calls, ``rise`` the largest positive
+    incidence entry (or 0).
+
     The view holds the net's ids but not the net, so caching it on the `Net`
     makes no reference cycle.
     """
 
     __slots__ = ("place_ids", "transition_ids", "colors", "column", "width",
-                 "delta", "spans", "guard_exprs", "guards", "tests")
+                 "delta", "spans", "guard_exprs", "guards", "tests", "peak", "rise")
 
     def __init__(self, net: Net, extra_colors: Iterable[str] = ()):
         colors = set(net.colors).union(extra_colors)
@@ -46,7 +54,7 @@ class CompiledNet:
         self.transition_ids = net.transition_ids
         self.guard_exprs = tuple(t.guard for t in net.transitions)
         self.guards: list[Callable[[Environment], bool] | None] = [None] * len(self.guard_exprs)
-        self.tests: dict[str, list] = {}
+        self.tests: dict[tuple[str, int], list] = {}
         self.colors = tuple(sorted(colors))
         self.width = width = len(self.colors)
         self.column = column = {c: j for j, c in enumerate(self.colors)}
@@ -67,6 +75,8 @@ class CompiledNet:
                     delta[slot] = delta.get(slot, 0) + n
             self.delta.append(tuple((s, d) for s, d in sorted(delta.items()) if d))
             self.spans.append(tuple(spans))
+        self.peak = max((n for spans in self.spans for _, _, counts in spans for n in counts), default=0)
+        self.rise = max((d for column in self.delta for _, d in column if d > 0), default=0)
 
     def covering(self, net: Net, *markings: Marking) -> "CompiledNet":
         """This view of `net`, or a copy widened to the colors the markings
@@ -84,26 +94,36 @@ class CompiledNet:
                 vec[i * width + column[color]] = n
         return tuple(vec)
 
-    def decode(self, vectors: Iterable[tuple[int, ...]], base: Marking | None = None) -> list[Marking]:
-        """Markings of slot tuples, each with the places of `base` outside the
-        net carried unchanged.
+    def pack(self, vec: Sequence[int], firings: int = 0) -> tuple[int, int]:
+        """`vec` as one int of `size`-byte fields, slot 0 lowest, and `size`:
+        the fewest bytes whose top bit stays clear for every count an arc
+        calls or `firings` firings, each adding at most `rise`, reach."""
+        bound = max(max(vec, default=0), self.peak) + firings * self.rise
+        size = (bound.bit_length() + 8) // 8
+        return int.from_bytes(b"".join(n.to_bytes(size, "little") for n in vec), "little"), size
+
+    def decode(self, packed: Iterable[int], size: int, base: Marking | None = None) -> list[Marking]:
+        """Markings of ints packed at `size` bytes a field, each with the
+        places of `base` outside the net carried unchanged.
 
         Equal place contents share one `Multiset` across the whole batch.
         """
-        width, colors = self.width, self.colors
-        places = [(pid, i * width, (i + 1) * width) for i, pid in enumerate(self.place_ids)]
+        step = self.width * size
+        places = [(pid, i * step, (i + 1) * step) for i, pid in enumerate(self.place_ids)]
         rest = {p: ms for p, ms in base.items() if p not in self.place_ids} if base else {}
-        empty = (0,) * width
-        shared: dict[tuple[int, ...], Multiset] = {}
+        empty, length = bytes(step), step * len(places)
+        shared: dict[bytes, Multiset] = {}
         out = []
-        for vec in vectors:
+        for m in packed:
+            raw = m.to_bytes(length, "little")
             assignment = dict(rest)
             for pid, lo, hi in places:
-                counts = vec[lo:hi]
+                counts = raw[lo:hi]
                 if counts != empty:
                     ms = shared.get(counts)
                     if ms is None:
-                        ms = shared[counts] = Multiset(dict(zip(colors, counts)))
+                        ms = shared[counts] = Multiset({c: int.from_bytes(counts[j:j + size], "little")
+                                                        for c, j in zip(self.colors, range(0, step, size))})
                     assignment[pid] = ms
             out.append(Marking._of(assignment))
         return out
@@ -116,76 +136,71 @@ class CompiledNet:
             fn = self.guards[k] = compile_guard(self.guard_exprs[k])
         return fn
 
-    def token_tests(self, mode: str) -> list:
-        """Per transition, `enabled_moves` for it alone; built once per mode."""
-        if mode not in self.tests:
-            self.tests[mode] = [self.enabled_moves([k], mode) for k in range(len(self.spans))]
-        return self.tests[mode]
+    def token_tests(self, mode: str, size: int) -> list:
+        """Per transition, `enabled_moves` for it alone; built once per mode and size."""
+        if (mode, size) not in self.tests:
+            self.tests[mode, size] = [self.enabled_moves([k], mode, size) for k in range(len(self.spans))]
+        return self.tests[mode, size]
 
-    def enabled_moves(self, live: Iterable[int], mode: str):
-        """The token test of the firing rule on slot tuples.
+    def enabled_moves(self, live: Iterable[int], mode: str, size: int):
+        """The token test of the firing rule on markings packed at `size` bytes.
 
-        Returns a function from a slot tuple to the (transition id, delta
-        column) of each transition of `live` whose input places hold what its
-        arcs call, in the order of `live`.  Guards are not evaluated here.
-        A transition without input arcs is never enabled; every input place
+        Returns a function from a packed marking to the (transition id,
+        packed delta column) of each transition of `live` whose input places
+        hold what its arcs call, in the order of `live`; the marking plus the
+        column is the successor.  Guards are not evaluated here.  A
+        transition without input arcs is never enabled; every input place
         holds a token; in subset mode each arc's call is within its place,
         and in exact mode each place holds exactly what its arc calls.
         `engine.enabling_failure` reads the same `spans` to name the failed
-        condition.
+        condition.  Subset mode sets every field's clear top bit and subtracts
+        the calls: a top bit stays set just where the count covers the call.
         """
-        live = [k for k in live if self.spans[k]]
-        ids = self.transition_ids
+        bits, ids = 8 * size, self.transition_ids
+        place = (1 << bits * self.width) - 1  # the fields of the first place
+
+        def packed(pairs) -> int:
+            return sum(n << bits * slot for slot, n in pairs)
+
+        def calls(spans) -> int:
+            return packed((lo + j, n) for lo, _, counts in spans for j, n in enumerate(counts))
+
+        live = [(self.spans[k], (ids[k], packed(self.delta[k]))) for k in live if self.spans[k]]
         if mode == "exact":
             # an arc calling no tokens needs a token at its place, so it
             # never matches exactly: its transition is never enabled
-            exact = [(ids[k], self.spans[k], self.delta[k]) for k in live
-                     if all(any(counts) for _, _, counts in self.spans[k])]
+            exact = [(packed((lo, place) for lo, _, _ in spans), calls(spans), move)
+                     for spans, move in live if all(any(counts) for _, _, counts in spans)]
 
             def moves(m):
-                return [(t, delta) for t, spans, delta in exact
-                        if all(m[lo:hi] == counts for lo, hi, counts in spans)]
+                return [move for span, counts, move in exact if m & span == counts]
             return moves
 
-        subset = []
-        for k in live:
-            spans = self.spans[k]
-            calls = [(lo + j, n) for lo, _, counts in spans for j, n in enumerate(counts) if n]
-            # an arc calling no tokens still needs a token at its place
-            occupied = [(lo, hi) for lo, hi, counts in spans if not any(counts)]
-            subset.append((ids[k], calls, self.delta[k], occupied))
+        top = int.from_bytes((bytes(size - 1) + b"\x80") * self.width * len(self.place_ids), "little")
+        # an arc calling no tokens still needs a token at its place
+        subset = [(calls(spans), move, [place << bits * lo for lo, _, counts in spans if not any(counts)])
+                  for spans, move in live]
 
         def moves(m):
-            out = []
-            for t, calls, delta, occupied in subset:
-                for slot, n in calls:
-                    if m[slot] < n:
-                        break
-                else:
-                    if not occupied or all(any(m[lo:hi]) for lo, hi in occupied):
-                        out.append((t, delta))
-            return out
+            held = m | top
+            return [move for pre, move, occupied in subset
+                    if (held - pre) & top == top and (not occupied or all(m & p for p in occupied))]
         return moves
 
-    @staticmethod
-    def successor(m: tuple[int, ...], delta: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-        """The slot tuple `m` plus a delta column."""
-        after = list(m)
-        for slot, d in delta:
-            after[slot] += d
-        return tuple(after)
-
-    def explore(self, start: tuple[int, ...], live: Sequence[int], mode: str,
+    def explore(self, start: Marking, live: Sequence[int], mode: str,
                 max_depth: int, max_states: int):
         """Breadth-first search from `start` firing only the transitions `live`.
 
         Returns (nodes, depths, edges, deadlocks, truncated) as
-        `algebra.reachability_graph` defines them, with slot vectors as nodes.
+        `algebra.reachability_graph` defines them.  Nodes are under max_states
+        firings deep, and expanded only above max_depth, so every marking
+        computed is at most min(max_depth, max_states) firings from `start`.
         """
-        moves, successor = self.enabled_moves(live, mode), self.successor
-        nodes: list[tuple[int, ...]] = [start]
+        m0, size = self.pack(self.encode(start), min(max_depth, max_states))
+        moves = self.enabled_moves(live, mode, size)
+        nodes: list[int] = [m0]
         depths: list[int] = [0]
-        index: dict[tuple[int, ...], int] = {start: 0}
+        index: dict[int, int] = {m0: 0}
         edges: list[tuple[int, str, int]] = []
         deadlocks: list[int] = []
         truncated = False
@@ -199,7 +214,7 @@ class CompiledNet:
                 truncated = True  # frontier had live transitions beyond the depth bound
                 continue
             for t, delta in options:
-                after = successor(m, delta)
+                after = m + delta
                 j = index.get(after)
                 if j is None:
                     if len(nodes) >= max_states:
@@ -210,4 +225,4 @@ class CompiledNet:
                     depths.append(depths[i] + 1)
                     index[after] = j
                 edges.append((i, t, j))
-        return nodes, depths, edges, deadlocks, truncated
+        return self.decode(nodes, size, start), depths, edges, deadlocks, truncated

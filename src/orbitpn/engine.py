@@ -14,10 +14,10 @@ Two containment readings of "the tokens can be called" are supported:
 
 Every bundled model behaves identically under both modes.
 
-All of it runs on the compiled net (`Net.compiled`): markings are slot
-tuples, the token test is `CompiledNet.enabled_moves` and each guard is
-compiled to a Python function.  `enabling_failure` reads the same slots to
-say which condition failed.
+All of it runs on the compiled net (`Net.compiled`): a marking is one packed
+int (`CompiledNet.pack`), the token test is `CompiledNet.enabled_moves`, a
+firing adds a packed incidence column and each guard is compiled to a Python
+function.  `enabling_failure` reads the slot tuple to say what failed.
 """
 
 from __future__ import annotations
@@ -128,7 +128,8 @@ def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") ->
         _check_mode(mode)
     view = net.compiled.covering(net, m)
     live = [k for k in range(len(net.transitions)) if view.guard(k)(env)]
-    return [t for t, _ in view.enabled_moves(live, mode)(view.encode(m))]
+    packed, size = view.pack(view.encode(m))
+    return [t for t, _ in view.enabled_moves(live, mode, size)(packed)]
 
 
 def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
@@ -147,18 +148,18 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
     if seq:
         _check_mode(mode)
     view = net.compiled.covering(net, m0)
-    tests = view.token_tests(mode)
-    m = view.encode(m0)
-    vectors = []
+    m, size = view.pack(view.encode(m0), len(seq))
+    tests = view.token_tests(mode, size)
+    packed = []
     for t, env in zip(seq, envs):
         k = net.transition_index.get(t)
         move = k is not None and view.guard(k)(env) and tests[k](m)
         if not move:
             break
-        m = view.successor(m, move[0][1])
-        vectors.append(m)
+        m += move[0][1]
+        packed.append(m)
     events = tuple(FiringEvent(k, t, dict(env), after) for k, (t, env, after)
-                   in enumerate(zip(seq, envs, view.decode(vectors, m0)), start=1))
+                   in enumerate(zip(seq, envs, view.decode(packed, size, m0)), start=1))
     trace = Trace(net.name, m0, events)
     if len(events) < len(seq):
         t, env = seq[len(events)], envs[len(events)]
@@ -188,23 +189,24 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
     if steps > 0 and net.transitions:
         _check_mode(mode)
     view = net.compiled.covering(net, m0)
-    tests = view.token_tests(mode)
-    m = view.encode(m0)
-    fired, vectors = [], []
+    # a sweep fires each transition at most once
+    m, size = view.pack(view.encode(m0), max(steps, 0) * len(net.transitions))
+    tests = view.token_tests(mode, size)
+    fired, packed = [], []
     for _ in range(steps):
         fired_any = False
         for k, test in enumerate(tests):
             move = view.guard(k)(env) and test(m)
             if move:
                 t, delta = move[0]
-                m = view.successor(m, delta)
+                m += delta
                 fired.append(t)
-                vectors.append(m)
+                packed.append(m)
                 fired_any = True
                 if policy == "single":
                     break
         if not fired_any:
             break
     events = tuple(FiringEvent(k, t, dict(env), after) for k, (t, after)
-                   in enumerate(zip(fired, view.decode(vectors, m0)), start=1))
+                   in enumerate(zip(fired, view.decode(packed, size, m0)), start=1))
     return Trace(net.name, m0, events)

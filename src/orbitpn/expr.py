@@ -152,7 +152,10 @@ def parse_weight_expr(text: str, colors: Collection[str]) -> Multiset:
         coeff = 1
         if i < len(tokens) and tokens[i][0] == "number":
             kind, value, pos = tokens[i]
-            coeff = int(value)
+            try:
+                coeff = int(value)
+            except ValueError:  # more digits than `int` converts from text
+                raise ParseError(f"coefficient has {len(value)} digits", pos) from None
             if coeff < 1:
                 raise ParseError("coefficient must be >= 1", pos)
             i += 1

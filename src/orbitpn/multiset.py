@@ -45,6 +45,9 @@ class FrozenMap:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self.items())!r})"
 
+    def __reduce__(self):  # copy and pickle go through the constructor
+        return type(self), (self._map,)
+
 
 class Record:
     """Immutable value with the fields `__match_args__` names, kept in `__slots__`.

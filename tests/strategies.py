@@ -105,6 +105,12 @@ def nets(draw, max_places=5, max_transitions=4, max_colors=4, max_tokens_per_pla
     )
 
 
+#: counts next to the field widths of the packed firing kernel
+#: (`core.CompiledNet.pack`): 2**7, 2**8, 2**15, 2**16, 2**31 or 2**40, give or take 3
+near_widths = st.sampled_from((7, 8, 15, 16, 31, 40)).flatmap(
+    lambda e: st.integers(2 ** e - 3, 2 ** e + 3))
+
+
 @st.composite
 def live_nets(draw):
     """A random net with random guards, an environment binding every guard
@@ -112,16 +118,27 @@ def live_nets(draw):
     its input arcs calls (plus, sometimes, the random marking's tokens).
 
     Some input arcs call no tokens, which `validate_net` rejects but the
-    engine still defines; drawing one makes some places start empty."""
+    engine still defines; drawing one makes some places start empty.  Some
+    nets add a count near a field width (`near_widths`) to some counts of
+    their arcs and start marking, so that calls, deposits and held tokens
+    cross every byte width."""
     net = draw(nets())
+    big = draw(st.none() | near_widths)
+
+    def scaled(w):
+        if big is None or not draw(st.booleans()):
+            return w
+        return Multiset({c: n + big if draw(st.booleans()) else n for c, n in w.items()})
+
     net = replace_net(net, arcs=tuple(
         Arc(a.source, a.target, Multiset())
-        if a.target in net.transition_index and draw(st.integers(0, 3)) == 0 else a
+        if a.target in net.transition_index and draw(st.integers(0, 3)) == 0
+        else Arc(a.source, a.target, scaled(a.weight))
         for a in net.arcs))
     marking = {}
     for pid in net.place_ids:
         called = [w for t in net.transition_ids for p, w in net.inputs[t] if p == pid]
-        held = net.initial_marking[pid]
+        held = scaled(net.initial_marking[pid])
         if called:
             held = draw(st.sampled_from(called)) + draw(st.sampled_from((Multiset(), held)))
         marking[pid] = held

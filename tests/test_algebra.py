@@ -26,6 +26,7 @@ from orbitpn import (
     models,
     parse_guard,
     reachability_graph,
+    simulate,
     verify_sequence_consistency,
 )
 from orbitpn.engine import MODES
@@ -484,3 +485,48 @@ class TestReachabilityGraph:
             for node, depth in zip(graph.nodes, graph.depths):
                 witness = check_reachability_condition(net, net.initial_marking, node, depth)
                 assert witness is not None, f"{net.name}: no witness for {node}"
+
+
+def pump_net(start):
+    """`t` calls x from P and deposits 2x there, so each firing adds one x;
+    `start` x at P, and a y at Q above P's fields as a bystander."""
+    return Net("pump", ("x", "y"), (Place("P", 1), Place("Q", -1)), (Transition("t"),),
+               (Arc("P", "t", Multiset(["x"])), Arc("t", "P", Multiset({"x": 2}))),
+               Marking({"P": {"x": start}, "Q": ["y"]}))
+
+
+class TestFieldWidths:
+    """The packed kernel sizes its byte fields per call from the firings the
+    call can make.  A pump counts P's tokens up through 127/128, 255/256 and
+    32767/32768, where a field one byte too narrow or without its spare top
+    bit would carry into Q or refuse a firing."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("start, max_depth, max_states", [
+        *[(start, depth, 10 ** 6) for start in (124, 252, 32764) for depth in (3, 4, 5)],
+        *[(start, 10 ** 6, states) for start in (124, 252, 32764) for states in (4, 5, 6)],
+        *[(1, depth, 10 ** 6) for depth in (126, 127, 128, 254, 255, 256)],
+        *[(1, 10 ** 6, states) for states in (127, 128, 129, 255, 256, 257)],
+    ])
+    def test_bfs(self, start, max_depth, max_states, mode):
+        net = pump_net(start)
+        assert_same_graph(net, net.initial_marking, {}, max_depth, max_states, mode)
+
+    @pytest.mark.parametrize("start, length", [
+        *[(start, length) for start in (124, 252, 32764) for length in (3, 4, 5)],
+        *[(1, length) for length in (126, 127, 128, 254, 255, 256)],
+    ])
+    def test_fire_sequence_and_simulate(self, start, length):
+        net = pump_net(start)
+        m = net.initial_marking
+        markings = []
+        for _ in range(length):
+            m = reference.fire(net, m, "t", {})
+            markings.append(m)
+        assert m["P"] == Multiset({"x": start + length})
+        trace = fire_sequence(net, net.initial_marking, ["t"] * length, [{}] * length)
+        assert [ev.marking_after for ev in trace.events] == markings
+        for policy in ("sweep", "single"):
+            trace = simulate(net, net.initial_marking, {}, length, policy)
+            assert [ev.marking_after for ev in trace.events] == markings
+        assert enabled_set(net, m, {}) == ["t"]

@@ -225,6 +225,57 @@ class TestSimulate:
         assert "deadlock: yes" in out
 
 
+BYSTANDER_NET = (
+    "[colors]\nx, y\n[places]\nP1 +\nP2 -\n[transitions]\nt1\nt2\n"
+    "[arcs]\nP1 -> t1 : x\nt1 -> P2 : x\nP2 -> t2 : x\nt2 -> P1 : x\n"
+    "[marking]\nP1 = x + y\n"
+)  # y is a bystander at P1: in exact mode x cannot leave
+
+
+class TestModeFlag:
+    """`simulate` and `reach --confirm` take `--mode` as `fire` does."""
+
+    def test_simulate_modes_differ_on_a_bystander(self, capsys, tmp_path):
+        path = tmp_path / "bystander.opn"
+        path.write_text(BYSTANDER_NET)
+        code, out, _ = run(capsys, "simulate", str(path), "--steps", "2")
+        assert code == 0
+        assert "  step 1: t1 -> P1=y, P2=x" in out
+        assert "events: 4; deadlock: no" in out
+        out_file = tmp_path / "trace.json"
+        code, out, _ = run(capsys, "simulate", str(path), "--steps", "2", "--mode", "exact",
+                           "--out", str(out_file))
+        assert code == 0
+        assert out == "final marking: P1=x+y\nevents: 0; deadlock: yes\n"
+        doc = json.loads(out_file.read_text())
+        assert doc["mode"] == "exact" and doc["deadlock"] is True
+        assert trace_io.replay(load_net(path), doc) == Marking({"P1": ["x", "y"]})
+
+    def test_reach_confirmation_follows_the_mode(self, capsys, tmp_path):
+        path = tmp_path / "bystander.opn"
+        path.write_text(BYSTANDER_NET)
+        argv = ("reach", str(path), "--target", "P1=y; P2=x", "--bound", "2", "--confirm")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert "X = (1, 0)" in out
+        assert "BFS confirmation: target reached at depth 1" in out
+        code, out, _ = run(capsys, *argv, "--mode", "exact")
+        assert code == 0
+        assert "X = (1, 0)" in out  # the state equation knows no modes
+        assert "BFS confirmation: target NOT reached within depth 2\n" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--steps", "2"),
+        ("reach", "--target", "P1=y", "--bound", "2", "--confirm"),
+    ], ids=["simulate", "reach"])
+    def test_unknown_mode_exits_2(self, capsys, argv):
+        sub, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main([sub, models.model_path("swap_infinite"), *flags, "--mode", "loose"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'loose'" in capsys.readouterr().err
+
+
 class TestIncidence:
     def test_classifier_grid(self, capsys):
         code, out, _ = run(capsys, "incidence", models.model_path("orbit_classes"))

@@ -68,6 +68,12 @@ class TestParseWeightExpr:
         with pytest.raises(ParseError):
             parse_weight_expr("x y", COLORS)
 
+    def test_coefficient_too_long_for_int(self):
+        # `int` refuses to convert more than 4300 digits from text
+        with pytest.raises(ParseError, match="coefficient has 5000 digits") as exc:
+            parse_weight_expr("1" * 5000 + "x", COLORS)
+        assert exc.value.position == 0
+
 
 class TestRenderWeightExpr:
     def test_sorted_terms(self):

@@ -1,4 +1,5 @@
 import copy
+import pickle
 
 import pytest
 from hypothesis import given
@@ -12,11 +13,13 @@ from orbitpn import (
     Net,
     OrExpr,
     Place,
+    SignedMultiset,
     Transition,
     apply_state_equation,
     enabled_set,
     fire,
     incidence_matrix,
+    models,
     reachability_graph,
     simulate,
     validate_net,
@@ -185,9 +188,46 @@ class TestMarking:
             m._map = {}
 
 
+def round_trips(x):
+    """`x` through `copy.copy`, `copy.deepcopy` and `pickle`."""
+    return [copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))]
+
+
+class TestCopyAndPickle:
+    """The immutable values copy and pickle through their constructors."""
+
+    @pytest.mark.parametrize("value", [
+        Multiset({"x": 2, "y": 1}), SignedMultiset({"x": 2, "y": -1}),
+        Marking({"P": ["x"]}), Marking({"P1": ["x", "x"], "P2": ["y"]}), Marking()])
+    def test_values_round_trip_with_their_class(self, value):
+        for copied in round_trips(value):
+            assert copied == value and type(copied) is type(value)
+            assert hash(copied) == hash(value)
+
+    def test_unpickled_signed_multiset_formats_afresh(self):
+        value = SignedMultiset({"y": -1, "x": 2})
+        assert str(value) == "2x-y"  # and kept in `_text`
+        copied = pickle.loads(pickle.dumps(value))
+        assert not hasattr(copied, "_text")
+        assert str(copied) == "2x-y"
+
+    @pytest.mark.parametrize("name", models.NAMES)
+    def test_loaded_net_round_trips(self, name):
+        net = models.load(name)
+        for copied in round_trips(net):
+            assert copied == net and type(copied) is Net
+
+    def test_net_pickled_after_compiling_explores_alike(self):
+        net = models.load("swap_infinite")
+        graph = reachability_graph(net, net.initial_marking, {}, 5, 100)
+        assert "compiled" in vars(net)
+        copied = pickle.loads(pickle.dumps(net))
+        assert reachability_graph(copied, copied.initial_marking, {}, 5, 100) == graph
+
+
 class TestMarkingVector:
     """A marking as the compiled net's slot vector: one count per (place,
-    color), place-major, colors sorted."""
+    color), place-major, colors sorted; packed, one field per slot."""
 
     def test_classifier_initial_vector(self, classes_net):
         view = classes_net.compiled
@@ -209,7 +249,8 @@ class TestMarkingVector:
     def test_round_trip_bijection(self, net):
         m = net.initial_marking
         view = net.compiled
-        assert view.decode([view.encode(m)]) == [m]
+        packed, size = view.pack(view.encode(m))
+        assert view.decode([packed], size) == [m]
 
 
 class TestDeclarationOrderCanonical:
