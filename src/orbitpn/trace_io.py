@@ -15,7 +15,8 @@ Schema::
 Markings serialize as weight-expression strings per place, empty places
 omitted, so documents are readable and reparse through the same grammar the
 net files use.  `replay` re-executes a document against its net and checks
-every intermediate marking, which is how round-trip integrity is tested.
+every intermediate marking, which is how round-trip integrity is tested; it
+fires and compares markings as the packed ints of `core.CompiledNet`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import json
 from pathlib import Path
 
 from . import expr
-from .engine import FiringEvent, NotEnabledError, Trace, enabled_set, fire_sequence
-from .expr import UnboundVariableError, guard_variables
+from .engine import FiringEvent, Trace, enabled_set, enabling_failure
+from .expr import UnboundVariableError
 from .model import MODES, Marking, Net
 
 
@@ -55,18 +56,19 @@ def _weights(colors):
     return functools.cache(functools.partial(expr.parse_weight_expr, colors=colors))
 
 
-def _marking_field(record: dict, key: str, parse, step: int | None = None) -> Marking:
-    """record[key] parsed as a marking, or a ReplayError naming the key or step."""
-    where = f"document: {key!r}" if step is None else f"step {step}: {key!r}"
-    assignment = {}
-    for place, text in _field(record, key, step, dict).items():
-        if not isinstance(text, str):
-            raise ReplayError(f"{where}: place {place!r} holds {text!r}, not a weight expression")
-        try:
-            assignment[place] = parse(text)
-        except expr.ParseError as err:
-            raise ReplayError(f"{where}: {err}") from None
-    return Marking._of(assignment)  # parsed weights are never empty
+def _weight(place, text, parse, where: str):
+    """`text` parsed as what `place` holds, or a ReplayError led by `where`."""
+    if not isinstance(text, str):
+        raise ReplayError(f"{where}: place {place!r} holds {text!r}, not a weight expression")
+    try:
+        return parse(text)
+    except expr.ParseError as err:
+        raise ReplayError(f"{where}: {err}") from None
+
+
+def _marking(entries: dict, parse, where: str) -> Marking:
+    """The marking of (place, text) `entries`; parsed weights are never empty."""
+    return Marking._of({place: _weight(place, text, parse, where) for place, text in entries.items()})
 
 
 def _env_field(record: dict, step: int) -> dict[str, float]:
@@ -78,6 +80,16 @@ def _env_field(record: dict, step: int) -> dict[str, float]:
         except (TypeError, ValueError):
             raise ReplayError(f"step {step}: 'env': {name!r} is {value!r}, not a number") from None
     return env
+
+
+def _event(ev, k: int) -> tuple:
+    """The k-th event's step, transition, environment and marking entries,
+    or a ReplayError for the first of them (in that order) of the wrong
+    shape; the entries are checked by whoever reads them."""
+    if not isinstance(ev, dict):
+        raise ReplayError(f"step {k}: event is not a JSON object")
+    return (_field(ev, "step", k), _field(ev, "transition", k, str), _env_field(ev, k),
+            _field(ev, "marking", k, dict))
 
 
 def marking_to_strings(m: Marking) -> dict[str, str]:
@@ -116,17 +128,11 @@ def trace_from_document(doc: dict, colors) -> Trace:
     if not isinstance(doc, dict):
         raise ReplayError("document is not a JSON object")
     parse = _weights(colors)
-    initial = _marking_field(doc, "initial", parse)
+    initial = _marking(_field(doc, "initial", kind=dict), parse, "document: 'initial'")
     events = []
     for k, ev in enumerate(_field(doc, "events", kind=list), start=1):
-        if not isinstance(ev, dict):
-            raise ReplayError(f"step {k}: event is not a JSON object")
-        events.append(FiringEvent(
-            step=_field(ev, "step", k),
-            transition=_field(ev, "transition", k, str),
-            env_snapshot=_env_field(ev, k),
-            marking_after=_marking_field(ev, "marking", parse, k),
-        ))
+        step, transition, env, entries = _event(ev, k)
+        events.append(FiringEvent(step, transition, env, _marking(entries, parse, f"step {k}: 'marking'")))
     return Trace(_field(doc, "net"), initial, events)
 
 
@@ -145,51 +151,72 @@ def replay(net: Net, doc: dict) -> Marking:
     JSON type, is for another net, has an unknown mode, holds a marking that
     does not parse, names an unknown transition, one that is not enabled or
     one whose guard reads a variable its `env` lacks, or records a marking
-    that differs from what the engine reproduces.  Errors are reported for
-    the earliest step at which they occur.
+    that differs from what the engine reproduces.  The first fault in this
+    order is reported: the shape of `initial`, then of the events, step by
+    step; a missing or wrong `net`; an unknown `mode`; the replay's faults,
+    step by step; then `final`, its shape or a divergence.
 
-    The events are re-fired in one `engine.fire_sequence` call, up to the
-    first unknown transition.
+    One pass reads the events and packs each recorded marking as
+    `CompiledNet.pack` does; a second fires them on the packed marking, as
+    `engine.fire_sequence` does, comparing one int per step.  Only the final
+    marking, and one an error prints, is decoded.
     """
-    trace = trace_from_document(doc, net.colors)
-    if trace.net_name != net.name:
-        raise ReplayError(f"document is for net {trace.net_name!r}, not {net.name!r}")
+    if not isinstance(doc, dict):
+        raise ReplayError("document is not a JSON object")
+    parse = _weights(net.colors)
+    initial = _marking(_field(doc, "initial", kind=dict), parse, "document: 'initial'")
+    events = _field(doc, "events", kind=list)
+    view = net.compiled
+    m, size = view.pack(view.encode(initial), len(events))
+    bits, column = 8 * size, view.column
+    slot = {pid: i * view.width for i, pid in enumerate(view.place_ids)}
+    outside = {p: ms for p, ms in initial.items() if p not in slot}
+    # a count at or over the cap, which no firing reaches, packs as a bit
+    # above every field: such a recording equals no marking the engine makes
+    cap, past = 1 << bits - 1, 1 << bits * view.width * len(slot)
+    worth: dict[tuple, int] = {}  # (place, text) -> its packed share
+
+    recorded = []
+    for k, ev in enumerate(events, start=1):
+        step, t, env, entries = _event(ev, k)
+        after, extra = 0, {}
+        for place, text in entries.items():
+            if place not in slot or not isinstance(text, str):
+                extra[place] = _weight(place, text, parse, f"step {k}: 'marking'")
+                continue
+            share = worth.get((place, text))
+            if share is None:
+                counts = _weight(place, text, parse, f"step {k}: 'marking'").items()
+                share = worth[place, text] = past if any(n >= cap for _, n in counts) else sum(
+                    n << bits * (slot[place] + column[c]) for c, n in counts)
+            after += share
+        recorded.append((step, t, env, after if extra == outside else past, entries))
+
+    name = _field(doc, "net")
+    if name != net.name:
+        raise ReplayError(f"document is for net {name!r}, not {net.name!r}")
     mode = doc.get("mode", "subset")
-    events = trace.events
-    if events and mode not in MODES:
-        raise ReplayError(f"step {events[0].step}: unknown containment mode {mode!r}")
-    known = next((i for i, ev in enumerate(events) if ev.transition not in net.transition_index),
-                 len(events))
-
-    def refire(stop: int) -> Trace:
-        return fire_sequence(net, trace.initial, [ev.transition for ev in events[:stop]],
-                             [ev.env_snapshot for ev in events[:stop]], mode)
-
-    failure = None
-    try:
-        fired = refire(known)
-    except NotEnabledError as err:
-        fired = err.trace
-        failure = ReplayError(f"step {events[err.step - 1].step}: transition {err.transition!r} "
-                              f"not enabled: {err.reason}")
-    except UnboundVariableError as err:
-        # it comes without the prefix that did fire: that is every event
-        # before the first whose environment lacks a variable its guard reads
-        stop = next(i for i, ev in enumerate(events) if not guard_variables(
-            net.transition(ev.transition).guard) <= ev.env_snapshot.keys())
-        fired = refire(stop)
-        failure = ReplayError(f"step {events[stop].step}: {err}")
-    for ev, got in zip(events, fired.events):
-        if got.marking_after != ev.marking_after:
-            raise ReplayError(
-                f"step {ev.step}: replay produced {got.marking_after}, document records {ev.marking_after}"
-            )
-    if failure is not None:
-        raise failure
-    if known < len(events):
-        raise ReplayError(f"step {events[known].step}: unknown transition {events[known].transition!r}")
-    m = fired.final
-    final = _marking_field(doc, "final", _weights(net.colors))
-    if m != final:
-        raise ReplayError(f"final marking diverges: replay {m}, document {final}")
-    return m
+    if recorded:
+        if mode not in MODES:
+            raise ReplayError(f"step {recorded[0][0]}: unknown containment mode {mode!r}")
+        tests = view.token_tests(mode, size)
+    for step, t, env, after, entries in recorded:
+        i = net.transition_index.get(t)
+        if i is None:
+            raise ReplayError(f"step {step}: unknown transition {t!r}")
+        try:
+            move = view.guard(i)(env) and tests[i](m)
+        except UnboundVariableError as err:
+            raise ReplayError(f"step {step}: {err}") from None
+        if not move:
+            reason = enabling_failure(net, view.decode([m], size, initial)[0], t, env, mode)
+            raise ReplayError(f"step {step}: transition {t!r} not enabled: {reason}")
+        m += move[0][1]
+        if m != after:
+            raise ReplayError(f"step {step}: replay produced {view.decode([m], size, initial)[0]}, "
+                              f"document records {_marking(entries, parse, '')}")  # read once: no fault
+    got = view.decode([m], size, initial)[0]
+    final = _marking(_field(doc, "final", kind=dict), parse, "document: 'final'")
+    if got != final:
+        raise ReplayError(f"final marking diverges: replay {got}, document {final}")
+    return got

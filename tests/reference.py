@@ -5,13 +5,17 @@ evaluated by walking the tree, and the incidence matrix built arc by arc.
 `orbitpn` runs all three on the compiled net (`Net.compiled`,
 `expr.compile_guard`); nothing here touches that path.
 
-Also the canonical text of a formal sum, formatted afresh on every call, and
-the records (`orbitpn.multiset.Record`) defined as frozen dataclasses.
+Also the canonical text of a formal sum, formatted afresh on every call,
+the records (`orbitpn.multiset.Record`) defined as frozen dataclasses, and
+trace replay as a whole-document pipeline: the document read into a `Trace`,
+its transitions re-fired by `engine.fire_sequence` and the two traces
+compared marking by marking.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 from typing import Mapping
 
@@ -32,8 +36,11 @@ from orbitpn import (
     UnboundVariableError,
     VarRef,
 )
-from orbitpn.engine import MODES
+from orbitpn import expr
+from orbitpn.engine import MODES, FiringEvent, Trace, fire_sequence
+from orbitpn.expr import guard_variables
 from orbitpn.multiset import Record
+from orbitpn.trace_io import ReplayError
 
 _COMPARE = {
     "<": operator.lt,
@@ -268,3 +275,121 @@ def dataclass_twin(value):
         twin = getattr(DataclassTwins, type(value).__name__)
         return twin(*(dataclass_twin(getattr(value, f)) for f in type(value).__match_args__))
     return value
+
+
+_JSON_NAMES = {dict: "object", list: "array", str: "string"}
+
+
+def _field(record: dict, key: str, step: int | None = None, kind: type | None = None):
+    """record[key], or a ReplayError naming the key and the 1-based event step
+    if it is missing or, given `kind`, not of that JSON type."""
+    where = "document" if step is None else f"step {step}"
+    try:
+        value = record[key]
+    except KeyError:
+        raise ReplayError(f"{where}: missing {key!r}") from None
+    if kind is not None and not isinstance(value, kind):
+        raise ReplayError(f"{where}: {key!r} is not a JSON {_JSON_NAMES[kind]}")
+    return value
+
+
+def _weights(colors):
+    """`expr.parse_weight_expr` over `colors`, parsing each distinct text once."""
+    return functools.cache(functools.partial(expr.parse_weight_expr, colors=colors))
+
+
+def _marking_field(record: dict, key: str, parse, step: int | None = None) -> Marking:
+    """record[key] parsed as a marking, or a ReplayError naming the key or step."""
+    where = f"document: {key!r}" if step is None else f"step {step}: {key!r}"
+    assignment = {}
+    for place, text in _field(record, key, step, dict).items():
+        if not isinstance(text, str):
+            raise ReplayError(f"{where}: place {place!r} holds {text!r}, not a weight expression")
+        try:
+            assignment[place] = parse(text)
+        except expr.ParseError as err:
+            raise ReplayError(f"{where}: {err}") from None
+    return Marking._of(assignment)  # parsed weights are never empty
+
+
+def _env_field(record: dict, step: int) -> dict[str, float]:
+    """The event's environment as floats, or a ReplayError naming the variable."""
+    env = {}
+    for name, value in _field(record, "env", step, dict).items():
+        try:
+            env[name] = float(value)
+        except (TypeError, ValueError):
+            raise ReplayError(f"step {step}: 'env': {name!r} is {value!r}, not a number") from None
+    return env
+
+
+def trace_from_document(doc: dict, colors) -> Trace:
+    """The trace a document records; raises ReplayError for a missing field,
+    a field of the wrong JSON type or a marking that does not parse."""
+    if not isinstance(doc, dict):
+        raise ReplayError("document is not a JSON object")
+    parse = _weights(colors)
+    initial = _marking_field(doc, "initial", parse)
+    events = []
+    for k, ev in enumerate(_field(doc, "events", kind=list), start=1):
+        if not isinstance(ev, dict):
+            raise ReplayError(f"step {k}: event is not a JSON object")
+        events.append(FiringEvent(
+            step=_field(ev, "step", k),
+            transition=_field(ev, "transition", k, str),
+            env_snapshot=_env_field(ev, k),
+            marking_after=_marking_field(ev, "marking", parse, k),
+        ))
+    return Trace(_field(doc, "net"), initial, events)
+
+
+def replay(net: Net, doc: dict) -> Marking:
+    """Re-fire every event of the document and return the resulting marking.
+
+    Reads the whole document into a `Trace` first, so every fault of its
+    shape comes before any fault of its replay; then re-fires the events in
+    one `engine.fire_sequence` call, up to the first unknown transition, and
+    compares the two traces.
+    """
+    trace = trace_from_document(doc, net.colors)
+    if trace.net_name != net.name:
+        raise ReplayError(f"document is for net {trace.net_name!r}, not {net.name!r}")
+    mode = doc.get("mode", "subset")
+    events = trace.events
+    if events and mode not in MODES:
+        raise ReplayError(f"step {events[0].step}: unknown containment mode {mode!r}")
+    known = next((i for i, ev in enumerate(events) if ev.transition not in net.transition_index),
+                 len(events))
+
+    def refire(stop: int) -> Trace:
+        return fire_sequence(net, trace.initial, [ev.transition for ev in events[:stop]],
+                             [ev.env_snapshot for ev in events[:stop]], mode)
+
+    failure = None
+    try:
+        fired = refire(known)
+    except NotEnabledError as err:
+        fired = err.trace
+        failure = ReplayError(f"step {events[err.step - 1].step}: transition {err.transition!r} "
+                              f"not enabled: {err.reason}")
+    except UnboundVariableError as err:
+        # it comes without the prefix that did fire: that is every event
+        # before the first whose environment lacks a variable its guard reads
+        stop = next(i for i, ev in enumerate(events) if not guard_variables(
+            net.transition(ev.transition).guard) <= ev.env_snapshot.keys())
+        fired = refire(stop)
+        failure = ReplayError(f"step {events[stop].step}: {err}")
+    for ev, got in zip(events, fired.events):
+        if got.marking_after != ev.marking_after:
+            raise ReplayError(
+                f"step {ev.step}: replay produced {got.marking_after}, document records {ev.marking_after}"
+            )
+    if failure is not None:
+        raise failure
+    if known < len(events):
+        raise ReplayError(f"step {events[known].step}: unknown transition {events[known].transition!r}")
+    m = fired.final
+    final = _marking_field(doc, "final", _weights(net.colors))
+    if m != final:
+        raise ReplayError(f"final marking diverges: replay {m}, document {final}")
+    return m

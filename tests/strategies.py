@@ -147,3 +147,23 @@ def live_nets(draw):
     names = sorted(set().union(*(guard_variables(t.guard) for t in transitions)))
     env = {name: draw(st.floats(0, 10, allow_nan=False)) for name in names}
     return replace_net(net, transitions=transitions, initial_marking=Marking(marking)), env
+
+
+@st.composite
+def rising_starts(draw, net, firings):
+    """`net`, or now and then `net` with a start marking that holds, at every
+    (place, color) some transition raises, a count `firings` or fewer below a
+    boundary of the packed kernel's field widths (2**7, 2**15 or 2**23), so
+    that a firing sequence of that length can cross it."""
+    if firings < 1 or draw(st.booleans()):
+        return net
+    edge = 2 ** draw(st.sampled_from((7, 15, 23))) - draw(st.integers(1, firings))
+    marking = net.initial_marking.as_dict()
+    for t in net.transition_ids:
+        called = dict(net.inputs[t])
+        for place, deposited in net.outputs[t]:
+            for color, n in deposited.items():
+                if n > called.get(place, Multiset()).count(color):
+                    held = marking.get(place, Multiset())
+                    marking[place] = held + Multiset({color: max(0, edge - held.count(color))})
+    return replace_net(net, initial_marking=Marking(marking))

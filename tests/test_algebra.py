@@ -27,6 +27,7 @@ from orbitpn import (
     parse_guard,
     reachability_graph,
     simulate,
+    trace_io,
     verify_sequence_consistency,
 )
 from orbitpn.engine import MODES
@@ -499,7 +500,8 @@ class TestFieldWidths:
     """The packed kernel sizes its byte fields per call from the firings the
     call can make.  A pump counts P's tokens up through 127/128, 255/256 and
     32767/32768, where a field one byte too narrow or without its spare top
-    bit would carry into Q or refuse a firing."""
+    bit would carry into Q or refuse a firing, and where replay would take a
+    recorded count for one it does not fire."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("start, max_depth, max_states", [
@@ -530,3 +532,32 @@ class TestFieldWidths:
             trace = simulate(net, net.initial_marking, {}, length, policy)
             assert [ev.marking_after for ev in trace.events] == markings
         assert enabled_set(net, m, {}) == ["t"]
+
+    @pytest.mark.parametrize("start, length", [
+        *[(start, length) for start in (124, 252, 32764) for length in (3, 4, 5)],
+        *[(1, length) for length in (126, 127, 128, 254, 255, 256)],
+    ])
+    def test_replay(self, start, length):
+        net = pump_net(start)
+        trace = fire_sequence(net, net.initial_marking, ["t"] * length, [{}] * length)
+        doc = trace_io.trace_document(net, trace)
+        assert trace_io.replay(net, doc) == trace.final == reference.replay(net, doc)
+        doc["events"][-1]["marking"]["P"] = f"{start + length + 1}x"
+        message = (f"step {length}: replay produced P={start + length}x, Q=y, "
+                   f"document records P={start + length + 1}x, Q=y")
+        for replay in (trace_io.replay, reference.replay):
+            with pytest.raises(trace_io.ReplayError) as exc:
+                replay(net, doc)
+            assert str(exc.value) == message
+
+    def test_replay_count_past_the_cap(self):
+        # in one-byte fields P=381x packs to the int of P=125x+y: 381 carries
+        # into the y field, so a count at or over a field's top bit must not match
+        net = pump_net(124)
+        doc = {"net": "pump", "initial": {"P": "124x+y", "Q": "y"},
+               "events": [{"step": 1, "transition": "t", "env": {}, "marking": {"P": "381x", "Q": "y"}}],
+               "final": {"P": "381x", "Q": "y"}}
+        for replay in (trace_io.replay, reference.replay):
+            with pytest.raises(trace_io.ReplayError) as exc:
+                replay(net, doc)
+            assert str(exc.value) == "step 1: replay produced P=125x+y, Q=y, document records P=381x, Q=y"

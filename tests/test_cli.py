@@ -5,6 +5,7 @@ import pytest
 
 from orbitpn import Marking, cli, engine, models, trace_io
 from orbitpn.netfile import load_net
+import reference
 
 SATSAT_ARGS = [
     "--env", "collision_prob=0.5,T1=5,eps=1",
@@ -457,11 +458,17 @@ class TestTraceDocuments:
          False),
         (lambda doc: doc["events"][1]["env"].pop("eps"),
          "step 2: unbound environment variable 'eps'", False),
+        # a place outside the net, which replay carries over from `initial`
+        (lambda doc: doc["events"][0]["marking"].update(Z="x"),
+         "step 1: replay produced P1=y, P2=x, document records P1=y, P2=x, Z=x", False),
+        (lambda doc: [doc["initial"].update(Z="x"), doc["events"][0]["marking"].update(Z="2x")],
+         "step 1: replay produced P1=y, P2=x, Z=x, document records P1=y, P2=x, Z=2x", False),
     ], ids=["initial", "events", "final", "net", "env", "marking", "transition",
             "unknown-transition", "other-net", "undeclared-color", "not-enabled",
             "marking-string", "initial-list", "env-string", "env-list", "events-number",
             "marking-value-number", "final-value-number", "env-value-string", "event-number",
-            "transition-list", "mode-string", "mode-list", "env-unbound"])
+            "transition-list", "mode-string", "mode-list", "env-unbound", "outside-added",
+            "outside-changed"])
     def test_bad_document_replay_error(self, capsys, tmp_path, damage, message, in_trace):
         out_file = tmp_path / "trace.json"
         run(
@@ -495,6 +502,44 @@ class TestTraceDocuments:
         with pytest.raises(trace_io.ReplayError) as exc:
             trace_io.replay(net, doc)
         assert str(exc.value) == "step 2: replay produced P1=x, P2=y, document records P1=y, P2=x"
+
+    # two faults each; the first in this order is reported: the shape of
+    # `initial`, of the events step by step, `net`, `mode`, the replay step
+    # by step, `final`
+    @pytest.mark.parametrize("damages, message", [
+        ([lambda doc: doc["events"][0].update(transition="t2"), lambda doc: doc["events"][2].pop("env")],
+         "step 3: missing 'env'"),
+        ([lambda doc: doc["events"][0].update(marking={"P1": "x", "P2": "y"}),
+          lambda doc: doc["events"][2]["marking"].update(P1="q")],
+         "step 3: 'marking': unknown color 'q' (at offset 0)"),
+        ([lambda doc: doc["initial"].update(P1=3), lambda doc: doc["events"][0].pop("env")],
+         "document: 'initial': place 'P1' holds 3, not a weight expression"),
+        ([lambda doc: doc["events"][3].pop("step"), lambda doc: doc.pop("net")], "step 4: missing 'step'"),
+        ([lambda doc: doc.update(net="other"), lambda doc: doc.update(mode="loose")],
+         "document is for net 'other', not 'swap_infinite'"),
+        ([lambda doc: doc.update(net="other"), lambda doc: doc["events"][0].update(marking={"P1": "x"})],
+         "document is for net 'other', not 'swap_infinite'"),
+        ([lambda doc: doc.update(mode="loose"), lambda doc: doc["events"][0].update(transition="t9")],
+         "step 1: unknown containment mode 'loose'"),
+        ([lambda doc: doc["events"][1].update(transition="t1"), lambda doc: doc.pop("final")],
+         "step 2: transition 't1' not enabled: token calling unsatisfied at 'P1': arc calls x, "
+         "place holds y"),
+        ([lambda doc: doc["events"][0].update(transition="t9"),
+          lambda doc: doc["events"][1].update(marking={"P1": "y", "P2": "x"})],
+         "step 1: unknown transition 't9'"),
+    ], ids=["shape-before-not-enabled", "shape-before-mismatch", "initial-before-events",
+            "events-before-net", "net-before-mode", "net-before-mismatch", "mode-before-unknown",
+            "not-enabled-before-final", "unknown-before-mismatch"])
+    def test_fault_order(self, damages, message):
+        net = models.load("swap_infinite")
+        trace = engine.fire_sequence(net, net.initial_marking, ["t1", "t2", "t1", "t2"], [{}] * 4)
+        doc = trace_io.trace_document(net, trace)
+        for damage in damages:
+            damage(doc)
+        for replay in (trace_io.replay, reference.replay):
+            with pytest.raises(trace_io.ReplayError) as exc:
+                replay(net, doc)
+            assert str(exc.value) == message
 
     def test_earliest_step_reported_before_unbound_variable(self, satsat_net, satsat_envs):
         trace = engine.fire_sequence(satsat_net, satsat_net.initial_marking, ["t1", "t2"],
