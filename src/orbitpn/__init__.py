@@ -16,7 +16,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "multiset": "Multiset SignedMultiset",
     "expr": "TRUE AndExpr Arith Comparison GuardExpr NotExpr NumLit OrExpr ParseError "
-            "TrueLiteral UnboundVariableError VarRef eval_guard guard_variables parse_guard "
+            "TrueLiteral UnboundVariableError VarRef eval_guard parse_guard "
             "parse_weight_expr render_guard render_weight_expr",
     "model": "Arc Environment Marking Net Place Transition validate_net",
     "engine": "FiringEvent NotEnabledError Trace enabled enabled_set enabling_failure fire "

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 from .expr import compile_guard
-from .model import Environment, Marking, Net
+from .model import MODES, Environment, Marking, Net
 from .multiset import Multiset
 
 
@@ -137,7 +137,11 @@ class CompiledNet:
         return fn
 
     def token_tests(self, mode: str, size: int) -> list:
-        """Per transition, `enabled_moves` for it alone; built once per mode and size."""
+        """Per transition, `enabled_moves` for it alone; built once per mode and
+        size.  Empty for a mode outside `MODES`, which callers refuse before
+        they fire."""
+        if mode not in MODES:
+            return []
         if (mode, size) not in self.tests:
             self.tests[mode, size] = [self.enabled_moves([k], mode, size) for k in range(len(self.spans))]
         return self.tests[mode, size]

@@ -414,22 +414,3 @@ def compile_guard(g: GuardExpr) -> Callable[[Mapping[str, float]], bool]:
 # numbers) have the same source, so their functions share one code object,
 # kept while some function uses it.
 _guard_code: "WeakValueDictionary[str, CodeType]" = WeakValueDictionary()
-
-
-def guard_variables(g: GuardExpr) -> frozenset[str]:
-    """All environment variables the guard reads."""
-
-    def num_vars(e: NumExpr) -> frozenset[str]:
-        if isinstance(e, VarRef):
-            return frozenset({e.name})
-        if isinstance(e, Arith):
-            return num_vars(e.lhs) | num_vars(e.rhs)
-        return frozenset()
-
-    if isinstance(g, TrueLiteral):
-        return frozenset()
-    if isinstance(g, Comparison):
-        return num_vars(g.lhs) | num_vars(g.rhs)
-    if isinstance(g, NotExpr):
-        return guard_variables(g.operand)
-    return guard_variables(g.lhs) | guard_variables(g.rhs)

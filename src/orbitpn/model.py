@@ -75,12 +75,6 @@ class Marking(FrozenMap):
         """Places currently holding at least one token."""
         return tuple(sorted(self._map))
 
-    def as_dict(self) -> dict[str, Multiset]:
-        return dict(self._map)
-
-    def total_tokens(self) -> int:
-        return sum(ms.total() for ms in self._map.values())
-
     def __iter__(self) -> Iterator[str]:
         return iter(self.places())
 

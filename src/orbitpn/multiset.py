@@ -5,7 +5,8 @@ incidence-matrix entries such as "y-x" live there.  A `Multiset` is the
 non-negative case: the content of an orbit and the value of an arc weight
 expression ("A+C" is the multiset {A: 1, C: 1}).  Both types are immutable
 and hashable, so markings can be used as graph nodes.  The two types never
-compare equal and do not mix under `+` or `-`.
+compare equal and do not mix under `+`.  Neither has `-` or `<=`: the firing
+rule removes and tests tokens on the packed integers of `core.CompiledNet`.
 
 `Record` is the base of the other immutable values: nets and their parts,
 guard trees, traces and analysis results.
@@ -154,34 +155,8 @@ class Multiset(SignedMultiset):
     def colors(self) -> tuple[str, ...]:
         return tuple(sorted(self._map))
 
-    def total(self) -> int:
-        """Number of tokens counted with multiplicity."""
-        return sum(self._map.values())
-
     def __contains__(self, color: str) -> bool:
         return color in self._map
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.colors())
-
-    def __le__(self, other: "Multiset") -> bool:
-        """Multiset containment: every count of self is covered by other."""
-        if other.__class__ is not Multiset:
-            return NotImplemented
-        held = other._map
-        return all(held.get(c, 0) >= n for c, n in self._map.items())
-
-    def __sub__(self, other: "Multiset") -> "Multiset":
-        """Remove other's tokens; raises if any count would go negative."""
-        if other.__class__ is not Multiset:
-            return NotImplemented
-        acc = dict(self._map)
-        for c, n in other._map.items():
-            left = acc.get(c, 0) - n
-            if left < 0:
-                raise ValueError(f"cannot remove {n} of {c!r}: only {acc.get(c, 0)} present")
-            if left:
-                acc[c] = left
-            else:
-                acc.pop(c, None)
-        return Multiset(acc)

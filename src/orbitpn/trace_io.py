@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 
 from . import expr
-from .engine import FiringEvent, Trace, enabled_set, enabling_failure
+from .engine import Trace, enabled_set, enabling_failure
 from .expr import UnboundVariableError
 from .model import MODES, Marking, Net
 
@@ -120,20 +120,6 @@ def trace_document(net: Net, trace: Trace, mode: str = "subset",
         "final": marking_to_strings(trace.final),
         "deadlock": deadlock,
     }
-
-
-def trace_from_document(doc: dict, colors) -> Trace:
-    """The trace a document records; raises ReplayError for a missing field,
-    a field of the wrong JSON type or a marking that does not parse."""
-    if not isinstance(doc, dict):
-        raise ReplayError("document is not a JSON object")
-    parse = _weights(colors)
-    initial = _marking(_field(doc, "initial", kind=dict), parse, "document: 'initial'")
-    events = []
-    for k, ev in enumerate(_field(doc, "events", kind=list), start=1):
-        step, transition, env, entries = _event(ev, k)
-        events.append(FiringEvent(step, transition, env, _marking(entries, parse, f"step {k}: 'marking'")))
-    return Trace(_field(doc, "net"), initial, events)
 
 
 def write_trace(path, doc: dict) -> None:

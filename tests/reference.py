@@ -1,7 +1,9 @@
 """Reference semantics that the differential tests compare `orbitpn` against.
 
-The firing rule stated on `Marking`s in `Multiset` arithmetic, guards
-evaluated by walking the tree, and the incidence matrix built arc by arc.
+The firing rule stated on `Marking`s in `Multiset` arithmetic (containment
+`submultiset` and removal `difference`, which `Multiset` itself does not
+have), guards evaluated by walking the tree, with the variables a guard
+reads (`guard_variables`), and the incidence matrix built arc by arc.
 `orbitpn` runs all three on the compiled net (`Net.compiled`,
 `expr.compile_guard`); nothing here touches that path.
 
@@ -21,6 +23,7 @@ from typing import Mapping
 
 from orbitpn import (
     AndExpr,
+    Arith,
     Comparison,
     Environment,
     Marking,
@@ -38,7 +41,6 @@ from orbitpn import (
 )
 from orbitpn import expr
 from orbitpn.engine import MODES, FiringEvent, Trace, fire_sequence
-from orbitpn.expr import guard_variables
 from orbitpn.multiset import Record
 from orbitpn.trace_io import ReplayError
 
@@ -82,6 +84,56 @@ def eval_guard(g, env: Mapping[str, float]) -> bool:
     raise TypeError(f"not a guard expression: {g!r}")
 
 
+def guard_variables(g) -> frozenset[str]:
+    """All environment variables the guard reads."""
+
+    def num_vars(e) -> frozenset[str]:
+        if isinstance(e, VarRef):
+            return frozenset({e.name})
+        if isinstance(e, Arith):
+            return num_vars(e.lhs) | num_vars(e.rhs)
+        return frozenset()
+
+    if isinstance(g, TrueLiteral):
+        return frozenset()
+    if isinstance(g, Comparison):
+        return num_vars(g.lhs) | num_vars(g.rhs)
+    if isinstance(g, NotExpr):
+        return guard_variables(g.operand)
+    return guard_variables(g.lhs) | guard_variables(g.rhs)
+
+
+def _multisets(a, b) -> None:
+    if type(a) is not Multiset or type(b) is not Multiset:
+        raise TypeError(f"expected two Multisets, got {type(a).__name__} and {type(b).__name__}")
+
+
+def submultiset(a: Multiset, b: Multiset) -> bool:
+    """Multiset containment: every count of `a` is covered by `b`."""
+    _multisets(a, b)
+    return all(b.count(c) >= n for c, n in a.items())
+
+
+def difference(a: Multiset, b: Multiset) -> Multiset:
+    """`a` with `b`'s tokens removed; raises if any count would go negative."""
+    _multisets(a, b)
+    acc = dict(a.items())
+    for c, n in b.items():
+        left = acc.get(c, 0) - n
+        if left < 0:
+            raise ValueError(f"cannot remove {n} of {c!r}: only {acc.get(c, 0)} present")
+        acc[c] = left
+    return Multiset(acc)
+
+
+def tally(value: Multiset | Marking) -> int:
+    """Tokens in a `Multiset`, or at every place of a `Marking`, counted with
+    multiplicity."""
+    if isinstance(value, Marking):
+        return sum(tally(ms) for _, ms in value.items())
+    return sum(n for _, n in value.items())
+
+
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown containment mode {mode!r}; expected one of {MODES}")
@@ -105,7 +157,7 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
         if not held:
             return f"input place {place!r} is empty"
         if mode == "subset":
-            if not called <= held:
+            if not submultiset(called, held):
                 return f"token calling unsatisfied at {place!r}: arc calls {called}, place holds {held}"
         elif held != called:
             return f"exact-mode mismatch at {place!r}: arc calls {called}, place holds {held}"
@@ -124,9 +176,9 @@ def fire(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset") -
     failure = enabling_failure(net, m, t, env, mode)
     if failure is not None:
         raise NotEnabledError(t, failure)
-    assignment = m.as_dict()
+    assignment = dict(m.items())
     for place, called in net.inputs[t]:
-        assignment[place] = assignment[place] - called
+        assignment[place] = difference(assignment[place], called)
     for place, deposited in net.outputs[t]:
         assignment[place] = assignment.get(place, Multiset()) + deposited
     return Marking(assignment)

@@ -19,8 +19,8 @@ from orbitpn import (
     Transition,
     TrueLiteral,
     VarRef,
-    guard_variables,
 )
+from reference import guard_variables
 
 RESERVED = {"true", "and", "or", "not"}
 
@@ -158,7 +158,7 @@ def rising_starts(draw, net, firings):
     if firings < 1 or draw(st.booleans()):
         return net
     edge = 2 ** draw(st.sampled_from((7, 15, 23))) - draw(st.integers(1, firings))
-    marking = net.initial_marking.as_dict()
+    marking = dict(net.initial_marking.items())
     for t in net.transition_ids:
         called = dict(net.inputs[t])
         for place, deposited in net.outputs[t]:

@@ -13,7 +13,6 @@ from orbitpn import (
     UnboundVariableError,
     VarRef,
     eval_guard,
-    guard_variables,
     parse_guard,
     parse_weight_expr,
     render_guard,
@@ -21,6 +20,7 @@ from orbitpn import (
 )
 from orbitpn.expr import MAX_GUARD_DEPTH, compile_guard
 import reference
+from reference import guard_variables
 from strategies import color_lists, guards, identifiers, multisets_over
 
 COLORS = ("A", "B", "C", "D", "x", "y", "S")

