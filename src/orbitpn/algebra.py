@@ -141,20 +141,20 @@ def check_reachability_condition(net: Net, m0: Marking, md: Marking,
     if any(d and slot not in rows for slot, d in enumerate(target)):
         return None  # no firing changes that count
     equations = [(row, target[slot]) for slot, row in sorted(rows.items())]
+    return _least_solution((), n, max_total_firings, equations)
 
-    def solves(x: tuple[int, ...]) -> bool:
-        return all(sum(map(mul, row, x)) == want for row, want in equations)
 
-    def search(prefix: tuple[int, ...], budget: int) -> tuple[int, ...] | None:
-        if len(prefix) == n:
-            return prefix if solves(prefix) else None
-        for count in range(budget + 1):
-            found = search(prefix + (count,), budget - count)
-            if found is not None:
-                return found
-        return None
-
-    return search((), max_total_firings)
+def _least_solution(prefix: tuple[int, ...], n: int, budget: int,
+                    equations: list[tuple[list[int], int]]) -> tuple[int, ...] | None:
+    """The lexicographically least extension of `prefix` to `n` counts, with at
+    most `budget` more firings, that solves every (row, want) equation."""
+    if len(prefix) == n:
+        return prefix if all(sum(map(mul, row, prefix)) == want for row, want in equations) else None
+    for count in range(budget + 1):
+        found = _least_solution(prefix + (count,), n, budget - count, equations)
+        if found is not None:
+            return found
+    return None
 
 
 def firing_counts(net: Net, trace: Trace) -> tuple[int, ...]:

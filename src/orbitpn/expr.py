@@ -104,34 +104,46 @@ _KEYWORDS = {"true", "and", "or", "not"}
 # is a KeyError
 _COMPARE = {op: op for op in ("<", "<=", ">", ">=", "==", "!=")}
 
+# Each match is one token after any whitespace: a number, a name, an
+# operator or, alone, any other character, which `_tokenize` refuses unless
+# the language has it as a token (`_GUARD_CHARS`, `_WEIGHT_CHARS`).
 _GUARD_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
-  | (?P<op><=|>=|==|!=|&&|\|\||[<>!+\-()])
-    """,
+    r"""\s*(
+    (?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?
+  | [A-Za-z][A-Za-z0-9_]*
+  | <=|>=|==|!=|&&|\|\||[<>!+\-()]
+  | \S)""",
     re.VERBOSE,
 )
 
 # weight coefficients are plain integers; scientific notation must NOT apply,
 # or a color named E would make "2E+2F" tokenize as the number 2e+2
-_WEIGHT_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<number>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[+\-])"
-)
+_WEIGHT_TOKEN_RE = re.compile(r"\s*([0-9]+|[A-Za-z][A-Za-z0-9_]*|[+\-]|\S)")
+
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_NUMBER_STARTS = _DIGITS | {"."}
+# the one-character tokens of each language
+_GUARD_CHARS = _DIGITS | _LETTERS | frozenset("<>!+-()")
+_WEIGHT_CHARS = _DIGITS | _LETTERS | frozenset("+-")
 
 
-def _tokenize(text: str, token_re: re.Pattern = _GUARD_TOKEN_RE) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = token_re.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group(), pos))
-        pos = m.end()
+def _tokenize(text: str, token_re: re.Pattern, chars: frozenset) -> list[str]:
+    """The tokens of `text`; a character that starts none is a ParseError."""
+    tokens = token_re.findall(text)
+    for i, token in enumerate(tokens):
+        if len(token) == 1 and token not in chars:
+            raise ParseError(f"unexpected character {token!r}", _offset(text, i, token_re))
     return tokens
+
+
+def _offset(text: str, i: int, token_re: re.Pattern) -> int:
+    """Where the i-th token of `text` starts, or past the last token, where
+    `text` ends; found afresh, since only an error needs it."""
+    for k, m in enumerate(token_re.finditer(text)):
+        if k == i:
+            return m.start(1)
+    return len(text)
 
 
 # ---------------------------------------------------------------------------
@@ -143,36 +155,41 @@ def parse_weight_expr(text: str, colors: Collection[str]) -> Multiset:
     Repeated identifiers accumulate ("2x+x" -> {x: 3}); a zero coefficient,
     an unknown color, or anything but '+' between terms is a ParseError.
     """
-    tokens = _tokenize(text, _WEIGHT_TOKEN_RE)
+    tokens = _tokenize(text, _WEIGHT_TOKEN_RE, _WEIGHT_CHARS)
     if not tokens:
         raise ParseError("empty weight expression", 0)
+
+    def error(message: str, i: int) -> ParseError:
+        """An error at the i-th token, or past the last one, where that one ends."""
+        if i == len(tokens):
+            return ParseError(message, _offset(text, i - 1, _WEIGHT_TOKEN_RE) + len(tokens[-1]))
+        return ParseError(message, _offset(text, i, _WEIGHT_TOKEN_RE))
+
     counts: dict[str, int] = {}
     i = 0
     while True:
         coeff = 1
-        if i < len(tokens) and tokens[i][0] == "number":
-            kind, value, pos = tokens[i]
+        if i < len(tokens) and tokens[i][0] in _DIGITS:
             try:
-                coeff = int(value)
+                coeff = int(tokens[i])
             except ValueError:  # more digits than `int` converts from text
-                raise ParseError(f"coefficient has {len(value)} digits", pos) from None
+                raise error(f"coefficient has {len(tokens[i])} digits", i) from None
             if coeff < 1:
-                raise ParseError("coefficient must be >= 1", pos)
+                raise error("coefficient must be >= 1", i)
             i += 1
-        if i >= len(tokens):
-            raise ParseError("expected color name", tokens[-1][2] + len(tokens[-1][1]))
-        kind, name, pos = tokens[i]
-        if kind != "ident":
-            raise ParseError(f"expected color name, got {name!r}", pos)
+        if i == len(tokens):
+            raise error("expected color name", i)
+        name = tokens[i]
+        if name[0] not in _LETTERS:
+            raise error(f"expected color name, got {name!r}", i)
         if name not in colors:
-            raise ParseError(f"unknown color {name!r}", pos)
+            raise error(f"unknown color {name!r}", i)
         counts[name] = counts.get(name, 0) + coeff
         i += 1
         if i == len(tokens):
             break
-        kind, text_, pos = tokens[i]
-        if text_ != "+":
-            raise ParseError(f"expected '+', got {text_!r}", pos)
+        if tokens[i] != "+":
+            raise error(f"expected '+', got {tokens[i]!r}", i)
         i += 1
     return Multiset(counts)
 
@@ -188,115 +205,115 @@ def render_weight_expr(w: Multiset) -> str:
 # guard parsing
 
 class _GuardParser:
+    """Recursive descent over the tokens, which end in an empty sentinel token.
+
+    The rules from `or_expr` down to `sum_expr` return their tree with its
+    height: the operators on the longest path from its top down to an
+    operand.  `MAX_GUARD_DEPTH` bounds both that height and the parenthesis
+    groups open at once (`groups`).
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, _GUARD_TOKEN_RE, _GUARD_CHARS)
+        self.tokens.append("")
         self.i = 0
         self.groups = 0
-        self.heights: dict[int, int] = {}  # node id -> height; built nodes stay alive
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", len(self.text))
+    def error(self, message: str, i: int | None = None) -> ParseError:
+        """An error at the i-th token, by default the next one."""
+        return ParseError(message, _offset(self.text, self.i if i is None else i, _GUARD_TOKEN_RE))
 
-    def advance(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def error(self, message: str) -> ParseError:
-        return ParseError(message, self.peek()[2])
-
-    def node(self, cls, *parts):
-        """Build one tree node; leaves and operator strings count as height 0."""
-        height = 1 + max(self.heights.get(id(part), 0) for part in parts)
+    def up(self, lhs: int, rhs: int = 0) -> int:
+        """The height of a node over subtrees this high; past the bound, an error."""
+        height = (lhs if lhs > rhs else rhs) + 1
         if height > MAX_GUARD_DEPTH:
             raise self.error(_TOO_DEEP)
-        built = cls(*parts)
-        self.heights[id(built)] = height
-        return built
+        return height
 
     def parse(self) -> GuardExpr:
-        if not self.tokens:
+        if len(self.tokens) == 1:
             raise ParseError("empty guard expression", 0)
-        g = self.or_expr()
-        kind, text, pos = self.peek()
-        if kind is not None:
-            raise ParseError(f"unexpected trailing {text!r}", pos)
+        g, _ = self.or_expr()
+        if self.tokens[self.i]:
+            raise self.error(f"unexpected trailing {self.tokens[self.i]!r}")
         return g
 
-    def or_expr(self) -> GuardExpr:
-        g = self.and_expr()
-        while self.peek()[1] in ("or", "||"):
-            self.advance()
-            g = self.node(OrExpr, g, self.and_expr())
-        return g
+    def or_expr(self) -> tuple[GuardExpr, int]:
+        g, h = self.and_expr()
+        while self.tokens[self.i] in ("or", "||"):
+            self.i += 1
+            rhs, rh = self.and_expr()
+            g, h = OrExpr(g, rhs), self.up(h, rh)
+        return g, h
 
-    def and_expr(self) -> GuardExpr:
-        g = self.not_expr()
-        while self.peek()[1] in ("and", "&&"):
-            self.advance()
-            g = self.node(AndExpr, g, self.not_expr())
-        return g
+    def and_expr(self) -> tuple[GuardExpr, int]:
+        g, h = self.not_expr()
+        while self.tokens[self.i] in ("and", "&&"):
+            self.i += 1
+            rhs, rh = self.not_expr()
+            g, h = AndExpr(g, rhs), self.up(h, rh)
+        return g, h
 
-    def not_expr(self) -> GuardExpr:
+    def not_expr(self) -> tuple[GuardExpr, int]:
         negations = 0
-        while self.peek()[1] in ("not", "!"):
-            self.advance()
+        while self.tokens[self.i] in ("not", "!"):
+            self.i += 1
             negations += 1
-        g = self.atom()
+        g, h = self.atom()
         for _ in range(negations):
-            g = self.node(NotExpr, g)
-        return g
+            g, h = NotExpr(g), self.up(h)
+        return g, h
 
-    def atom(self) -> GuardExpr:
-        kind, text, pos = self.peek()
-        if kind is None:
+    def atom(self) -> tuple[GuardExpr, int]:
+        token = self.tokens[self.i]
+        if not token:
             raise self.error("unexpected end of guard")
-        if text == "true":
-            self.advance()
-            return TRUE
-        if text == "(":
-            self.advance()
+        if token == "true":
+            self.i += 1
+            return TRUE, 0
+        if token == "(":
+            self.i += 1
             self.groups += 1
             if self.groups > MAX_GUARD_DEPTH:
                 raise self.error(_TOO_DEEP)
             g = self.or_expr()
-            kind, text, pos = self.peek()
-            if text != ")":
+            if self.tokens[self.i] != ")":
                 raise self.error("expected ')'")
-            self.advance()
+            self.i += 1
             self.groups -= 1
             return g
         return self.comparison()
 
-    def comparison(self) -> Comparison:
-        lhs = self.sum_expr()
-        kind, text, pos = self.peek()
-        if text not in _COMPARE:
+    def comparison(self) -> tuple[Comparison, int]:
+        lhs, lh = self.sum_expr()
+        op = self.tokens[self.i]
+        if op not in _COMPARE:
             raise self.error("expected comparison operator")
-        self.advance()
-        rhs = self.sum_expr()
-        return self.node(Comparison, text, lhs, rhs)
+        self.i += 1
+        rhs, rh = self.sum_expr()
+        return Comparison(op, lhs, rhs), self.up(lh, rh)
 
-    def sum_expr(self) -> NumExpr:
-        e = self.operand()
-        while self.peek()[1] in ("+", "-"):
-            op = self.advance()[1]
-            e = self.node(Arith, op, e, self.operand())
-        return e
+    def sum_expr(self) -> tuple[NumExpr, int]:
+        e, h = self.operand(), 0
+        while (op := self.tokens[self.i]) in ("+", "-"):
+            self.i += 1
+            e, h = Arith(op, e, self.operand()), self.up(h)
+        return e, h
 
     def operand(self) -> NumExpr:
-        kind, text, pos = self.advance()
-        if kind == "number":
-            value = float(text)
+        token = self.tokens[self.i]
+        self.i += 1
+        if token[:1] in _NUMBER_STARTS:
+            value = float(token)
             if not math.isfinite(value):
-                raise ParseError(f"number {text!r} is not finite", pos)
+                raise self.error(f"number {token!r} is not finite", self.i - 1)
             return NumLit(value)
-        if kind == "ident":
-            if text in _KEYWORDS:
-                raise ParseError(f"{text!r} is a reserved word", pos)
-            return VarRef(text)
-        raise ParseError(f"expected number or variable, got {text!r}", pos)
+        if token[:1] in _LETTERS:
+            if token in _KEYWORDS:
+                raise self.error(f"{token!r} is a reserved word", self.i - 1)
+            return VarRef(token)
+        raise self.error(f"expected number or variable, got {token!r}", self.i - 1)
 
 
 def parse_guard(text: str) -> GuardExpr:
@@ -324,22 +341,23 @@ _LEVEL = {OrExpr: 1, AndExpr: 2, NotExpr: 3, Comparison: 4, TrueLiteral: 4}
 
 def render_guard(g: GuardExpr) -> str:
     """Canonical text with minimal parentheses; parse(render(g)) == g."""
+    return _render_bool(g, 1)
 
-    def walk(node: GuardExpr, floor: int) -> str:
-        level = _LEVEL[type(node)]
-        if isinstance(node, TrueLiteral):
-            text = "true"
-        elif isinstance(node, Comparison):
-            text = f"{_render_num(node.lhs)} {node.op} {_render_num(node.rhs)}"
-        elif isinstance(node, NotExpr):
-            text = f"not {walk(node.operand, 3)}"
-        elif isinstance(node, AndExpr):
-            text = f"{walk(node.lhs, 2)} and {walk(node.rhs, 3)}"
-        else:
-            text = f"{walk(node.lhs, 1)} or {walk(node.rhs, 2)}"
-        return f"({text})" if level < floor else text
 
-    return walk(g, 1)
+def _render_bool(node: GuardExpr, floor: int) -> str:
+    """`node`'s text, in parentheses if its operator binds more loosely than `floor`."""
+    level = _LEVEL[type(node)]
+    if isinstance(node, TrueLiteral):
+        text = "true"
+    elif isinstance(node, Comparison):
+        text = f"{_render_num(node.lhs)} {node.op} {_render_num(node.rhs)}"
+    elif isinstance(node, NotExpr):
+        text = f"not {_render_bool(node.operand, 3)}"
+    elif isinstance(node, AndExpr):
+        text = f"{_render_bool(node.lhs, 2)} and {_render_bool(node.rhs, 3)}"
+    else:
+        text = f"{_render_bool(node.lhs, 1)} or {_render_bool(node.rhs, 2)}"
+    return f"({text})" if level < floor else text
 
 
 # ---------------------------------------------------------------------------
@@ -363,51 +381,61 @@ def compile_guard(g: GuardExpr) -> Callable[[Mapping[str, float]], bool]:
     is needed.  Variable names and numbers are passed in as tuples and
     indexed, never written into the source.
     """
-    names: list[str] = []
-    numbers: list[float] = []
-    body: list[str] = []
-
-    def num(e: NumExpr) -> str:
-        if isinstance(e, NumLit):
-            numbers.append(e.value)
-            return f"_c[{len(numbers) - 1}]"
-        if isinstance(e, VarRef):
-            if e.name not in names:
-                names.append(e.name)
-            return f"v{names.index(e.name)}"
-        lhs, rhs = num(e.lhs), num(e.rhs)
-        return node(f"{lhs} {'+' if e.op == '+' else '-'} {rhs}")
-
-    def node(expression: str) -> str:
-        body.append(f"    x{len(body)} = {expression}")
-        return f"x{len(body) - 1}"
-
-    def guard(e: GuardExpr) -> str:
-        if isinstance(e, TrueLiteral):
-            return "True"
-        if isinstance(e, Comparison):
-            lhs, rhs = num(e.lhs), num(e.rhs)
-            return node(f"{lhs} {_COMPARE[e.op]} {rhs}")
-        if isinstance(e, NotExpr):
-            return node(f"not {guard(e.operand)}")
-        if isinstance(e, (AndExpr, OrExpr)):
-            lhs, rhs = guard(e.lhs), guard(e.rhs)
-            return node(f"{lhs} {'and' if isinstance(e, AndExpr) else 'or'} {rhs}")
-        raise TypeError(f"not a guard expression: {e!r}")
-
-    result = guard(g)
+    walk = _GuardSource()
+    result = walk.guard(g)
+    names = walk.names
     reads = [f"    try:\n        v{i} = float(env[_n[{i}]])\n"
              f"    except KeyError:\n        raise _unbound(_n[{i}]) from None"
              for i in range(len(names))]
-    source = "\n".join(["def guard(env, _n, _c, _unbound):", *reads, *body,
+    source = "\n".join(["def guard(env, _n, _c, _unbound):", *reads, *walk.body,
                         f"    return {result}"])
     code = _guard_code.get(source)
     if code is None:
         scope: dict = {}
         exec(compile(source, "<guard>", "exec"), scope)
-        code = _guard_code[source] = scope["guard"].__code__
+        # popped, so that no cycle is left between the function and its globals
+        code = _guard_code[source] = scope.pop("guard").__code__
     return FunctionType(code, globals(), "guard",
-                        (tuple(names), tuple(numbers), UnboundVariableError))
+                        (tuple(names), tuple(walk.numbers), UnboundVariableError))
+
+
+class _GuardSource:
+    """The variables, numbers and assignments of a compiled guard, collected by
+    one left-to-right walk of its tree; each walk method returns the Python
+    expression that holds the value of the node it is given."""
+
+    def __init__(self):
+        self.names: list[str] = []
+        self.numbers: list[float] = []
+        self.body: list[str] = []
+
+    def num(self, e: NumExpr) -> str:
+        if isinstance(e, NumLit):
+            self.numbers.append(e.value)
+            return f"_c[{len(self.numbers) - 1}]"
+        if isinstance(e, VarRef):
+            if e.name not in self.names:
+                self.names.append(e.name)
+            return f"v{self.names.index(e.name)}"
+        lhs, rhs = self.num(e.lhs), self.num(e.rhs)
+        return self.node(f"{lhs} {'+' if e.op == '+' else '-'} {rhs}")
+
+    def node(self, expression: str) -> str:
+        self.body.append(f"    x{len(self.body)} = {expression}")
+        return f"x{len(self.body) - 1}"
+
+    def guard(self, e: GuardExpr) -> str:
+        if isinstance(e, TrueLiteral):
+            return "True"
+        if isinstance(e, Comparison):
+            lhs, rhs = self.num(e.lhs), self.num(e.rhs)
+            return self.node(f"{lhs} {_COMPARE[e.op]} {rhs}")
+        if isinstance(e, NotExpr):
+            return self.node(f"not {self.guard(e.operand)}")
+        if isinstance(e, (AndExpr, OrExpr)):
+            lhs, rhs = self.guard(e.lhs), self.guard(e.rhs)
+            return self.node(f"{lhs} {'and' if isinstance(e, AndExpr) else 'or'} {rhs}")
+        raise TypeError(f"not a guard expression: {e!r}")
 
 
 # Guards of one shape (say, a net's per-place guards that differ only in their

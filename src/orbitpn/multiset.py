@@ -61,15 +61,39 @@ class Record:
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
     _defaults: dict = {}
+    _setters: tuple = ()             # the slots' own setters, past `__setattr__`
+    _tails: dict = {0: ()}           # k -> the defaults of the fields after the k-th
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls.__match_args__
+        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
+        cls._tails = {len(fields): ()}
+        for n in range(len(fields) - 1, -1, -1):
+            if fields[n] not in cls._defaults:
+                break
+            cls._tails[n] = tuple(cls._defaults[name] for name in fields[n:])
 
     def __init__(self, *args, **kwargs):
-        fields = self.__match_args__
+        # one value per field by position, or the leading ones and defaults
+        tail = self._tails.get(len(args))
+        if tail is None or kwargs:
+            args = self._complete(args, kwargs)
+        elif tail:
+            args += tail
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
+
+    @classmethod
+    def _complete(cls, args: tuple, kwargs: dict) -> tuple:
+        """Every field's value in order, from a call that gives some by keyword
+        or gives too many or too few."""
+        fields = cls.__match_args__
         given = dict(zip(fields, args), **kwargs)
-        values = {**self._defaults, **given}
+        values = {**cls._defaults, **given}
         if len(given) != len(args) + len(kwargs) or values.keys() != set(fields):
-            raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(fields)}")
-        for name in fields:
-            object.__setattr__(self, name, values[name])
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(fields)}")
+        return tuple([values[name] for name in fields])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -29,6 +29,7 @@ violation list, so a loaded net is always structurally sound.
 from __future__ import annotations
 
 import re
+from functools import partial
 from pathlib import Path
 
 from . import expr
@@ -51,12 +52,16 @@ class NetFileError(ValueError):
         self.violations = violations or []
 
 
-def _strip(line: str) -> str:
-    return line.split("#", 1)[0].strip()
-
-
 def _reraise(err: expr.ParseError, line_no: int, what: str) -> NetFileError:
     return NetFileError(f"{what}: {err.message} (column {err.position + 1} of expression)", line_no)
+
+
+def _once(values: dict, parse, text: str):
+    """`parse(text)`, kept in `values`, or the value kept there before."""
+    value = values.get(text)
+    if value is None:
+        value = values[text] = parse(text)
+    return value
 
 
 def parse_net(text: str, default_name: str = "net") -> Net:
@@ -64,10 +69,10 @@ def parse_net(text: str, default_name: str = "net") -> Net:
     sections: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
     current: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
+        line = raw.partition("#")[0].strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             name = line[1:-1].strip().lower()
             if name not in _SECTIONS:
                 raise NetFileError(f"unknown section [{name}]", line_no)
@@ -101,6 +106,12 @@ def parse_net(text: str, default_name: str = "net") -> Net:
             raise NetFileError(f"rotation must be '+' or '-', got {sign!r}", line_no)
         places.append(Place(pid, _ROTATIONS[sign]))
 
+    # A text repeated in the file is parsed once: the trees and multisets
+    # are immutable, so the lines that share a text can share its value.
+    guards: dict[str, expr.GuardExpr] = {}
+    weights: dict[str, Multiset] = {}
+    parse_weight = partial(expr.parse_weight_expr, colors=colors)
+
     transitions: list[Transition] = []
     for line_no, line in sections["transitions"]:
         tid, sep, guard_text = line.partition(":")
@@ -108,8 +119,9 @@ def parse_net(text: str, default_name: str = "net") -> Net:
         if not tid or len(tid.split()) != 1:
             raise NetFileError(f"expected '<transition id> [: guard]', got {line!r}", line_no)
         if sep:
+            guard_text = guard_text.strip()
             try:
-                guard = expr.parse_guard(guard_text.strip())
+                guard = _once(guards, expr.parse_guard, guard_text)
             except expr.ParseError as err:
                 raise _reraise(err, line_no, f"guard of {tid!r}") from None
             transitions.append(Transition(tid, guard))
@@ -121,12 +133,13 @@ def parse_net(text: str, default_name: str = "net") -> Net:
         m = _ARC_RE.fullmatch(line)
         if m is None:
             raise NetFileError(f"expected '<source> -> <target> : <weight>', got {line!r}", line_no)
-        src, dst = m.group("src"), m.group("dst").strip()
+        src, dst, weight_text = m.groups()
+        dst = dst.strip()
         try:
-            weight = expr.parse_weight_expr(m.group("weight").strip(), colors)
+            w = _once(weights, parse_weight, weight_text.strip())
         except expr.ParseError as err:
             raise _reraise(err, line_no, f"weight of arc {src}->{dst}") from None
-        arcs.append(Arc(src, dst, weight))
+        arcs.append(Arc(src, dst, w))
 
     assignment: dict[str, Multiset] = {}
     for line_no, line in sections["marking"]:
@@ -137,18 +150,12 @@ def parse_net(text: str, default_name: str = "net") -> Net:
         if pid in assignment:
             raise NetFileError(f"place {pid!r} marked twice", line_no)
         try:
-            assignment[pid] = expr.parse_weight_expr(tokens_text.strip(), colors)
+            assignment[pid] = _once(weights, parse_weight, tokens_text.strip())
         except expr.ParseError as err:
             raise _reraise(err, line_no, f"marking of {pid!r}") from None
 
-    return Net(
-        name=name,
-        colors=tuple(colors),
-        places=tuple(places),
-        transitions=tuple(transitions),
-        arcs=tuple(arcs),
-        initial_marking=Marking(assignment),
-    )
+    return Net(name, tuple(colors), tuple(places), tuple(transitions), tuple(arcs),
+               Marking._of(assignment))
 
 
 def read_net(path) -> Net:

@@ -7,9 +7,10 @@ reads (`guard_variables`), and the incidence matrix built arc by arc.
 `orbitpn` runs all three on the compiled net (`Net.compiled`,
 `expr.compile_guard`); nothing here touches that path.
 
-Also the canonical text of a formal sum, formatted afresh on every call,
-the records (`orbitpn.multiset.Record`) defined as frozen dataclasses, and
-trace replay as a whole-document pipeline: the document read into a `Trace`,
+Also the expression and net-file parsers in their earlier form, which
+parse every text afresh; the canonical text of a formal sum, formatted afresh
+on every call; the records (`orbitpn.multiset.Record`) defined as frozen
+dataclasses; and trace replay as a whole-document pipeline: the document read into a `Trace`,
 its transitions re-fired by `engine.fire_sequence` and the two traces
 compared marking by marking.
 """
@@ -18,28 +19,36 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import operator
-from typing import Mapping
+import re
+from typing import Collection, Mapping
 
 from orbitpn import (
     AndExpr,
+    Arc,
     Arith,
     Comparison,
     Environment,
     Marking,
     Multiset,
     Net,
+    NetFileError,
     NotEnabledError,
     NotExpr,
     NumLit,
     OrExpr,
+    ParseError,
+    Place,
     SignedMultiset,
     TRUE,
+    Transition,
     TrueLiteral,
     UnboundVariableError,
     VarRef,
 )
 from orbitpn import expr
+from orbitpn.expr import MAX_GUARD_DEPTH
 from orbitpn.engine import MODES, FiringEvent, Trace, fire_sequence
 from orbitpn.multiset import Record
 from orbitpn.trace_io import ReplayError
@@ -445,3 +454,305 @@ def replay(net: Net, doc: dict) -> Marking:
     if m != final:
         raise ReplayError(f"final marking diverges: replay {m}, document {final}")
     return m
+
+
+# ---------------------------------------------------------------------------
+# The expression and net-file parsers as they were before `Record` got its
+# positional fast path, `parse_net` its per-file reuse of parsed texts and
+# `expr._GuardParser` its end sentinel: a copy of `expr._tokenize`,
+# `expr._GuardParser`, `expr.parse_weight_expr` and `netfile.parse_net`
+# (with the helpers they use), changed only to call one another.  `_COMPARE`
+# above has the same six operator keys as `expr._COMPARE`.
+
+_GUARD_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>\s+)
+  | (?P<number>(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<op><=|>=|==|!=|&&|\|\||[<>!+\-()])
+    """,
+    re.VERBOSE,
+)
+
+_WEIGHT_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<number>[0-9]+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[+\-])"
+)
+
+_TOO_DEEP = f"guard nested more than {MAX_GUARD_DEPTH} levels deep"
+
+_KEYWORDS = {"true", "and", "or", "not"}
+
+
+def _tokenize(text: str, token_re: re.Pattern = _GUARD_TOKEN_RE) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = token_re.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.lastgroup != "ws":
+            tokens.append((m.lastgroup, m.group(), pos))
+        pos = m.end()
+    return tokens
+
+
+def parse_weight_expr(text: str, colors: Collection[str]) -> Multiset:
+    """Parse "2x+y" into a multiset; every identifier must be a declared color.
+
+    Repeated identifiers accumulate ("2x+x" -> {x: 3}); a zero coefficient,
+    an unknown color, or anything but '+' between terms is a ParseError.
+    """
+    tokens = _tokenize(text, _WEIGHT_TOKEN_RE)
+    if not tokens:
+        raise ParseError("empty weight expression", 0)
+    counts: dict[str, int] = {}
+    i = 0
+    while True:
+        coeff = 1
+        if i < len(tokens) and tokens[i][0] == "number":
+            kind, value, pos = tokens[i]
+            try:
+                coeff = int(value)
+            except ValueError:  # more digits than `int` converts from text
+                raise ParseError(f"coefficient has {len(value)} digits", pos) from None
+            if coeff < 1:
+                raise ParseError("coefficient must be >= 1", pos)
+            i += 1
+        if i >= len(tokens):
+            raise ParseError("expected color name", tokens[-1][2] + len(tokens[-1][1]))
+        kind, name, pos = tokens[i]
+        if kind != "ident":
+            raise ParseError(f"expected color name, got {name!r}", pos)
+        if name not in colors:
+            raise ParseError(f"unknown color {name!r}", pos)
+        counts[name] = counts.get(name, 0) + coeff
+        i += 1
+        if i == len(tokens):
+            break
+        kind, text_, pos = tokens[i]
+        if text_ != "+":
+            raise ParseError(f"expected '+', got {text_!r}", pos)
+        i += 1
+    return Multiset(counts)
+
+
+class _GuardParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.groups = 0
+        self.heights: dict[int, int] = {}  # node id -> height; built nodes stay alive
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, "", len(self.text))
+
+    def advance(self):
+        tok = self.peek()
+        self.i += 1
+        return tok
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.peek()[2])
+
+    def node(self, cls, *parts):
+        """Build one tree node; leaves and operator strings count as height 0."""
+        height = 1 + max(self.heights.get(id(part), 0) for part in parts)
+        if height > MAX_GUARD_DEPTH:
+            raise self.error(_TOO_DEEP)
+        built = cls(*parts)
+        self.heights[id(built)] = height
+        return built
+
+    def parse(self):
+        if not self.tokens:
+            raise ParseError("empty guard expression", 0)
+        g = self.or_expr()
+        kind, text, pos = self.peek()
+        if kind is not None:
+            raise ParseError(f"unexpected trailing {text!r}", pos)
+        return g
+
+    def or_expr(self):
+        g = self.and_expr()
+        while self.peek()[1] in ("or", "||"):
+            self.advance()
+            g = self.node(OrExpr, g, self.and_expr())
+        return g
+
+    def and_expr(self):
+        g = self.not_expr()
+        while self.peek()[1] in ("and", "&&"):
+            self.advance()
+            g = self.node(AndExpr, g, self.not_expr())
+        return g
+
+    def not_expr(self):
+        negations = 0
+        while self.peek()[1] in ("not", "!"):
+            self.advance()
+            negations += 1
+        g = self.atom()
+        for _ in range(negations):
+            g = self.node(NotExpr, g)
+        return g
+
+    def atom(self):
+        kind, text, pos = self.peek()
+        if kind is None:
+            raise self.error("unexpected end of guard")
+        if text == "true":
+            self.advance()
+            return TRUE
+        if text == "(":
+            self.advance()
+            self.groups += 1
+            if self.groups > MAX_GUARD_DEPTH:
+                raise self.error(_TOO_DEEP)
+            g = self.or_expr()
+            kind, text, pos = self.peek()
+            if text != ")":
+                raise self.error("expected ')'")
+            self.advance()
+            self.groups -= 1
+            return g
+        return self.comparison()
+
+    def comparison(self):
+        lhs = self.sum_expr()
+        kind, text, pos = self.peek()
+        if text not in _COMPARE:
+            raise self.error("expected comparison operator")
+        self.advance()
+        rhs = self.sum_expr()
+        return self.node(Comparison, text, lhs, rhs)
+
+    def sum_expr(self):
+        e = self.operand()
+        while self.peek()[1] in ("+", "-"):
+            op = self.advance()[1]
+            e = self.node(Arith, op, e, self.operand())
+        return e
+
+    def operand(self):
+        kind, text, pos = self.advance()
+        if kind == "number":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is not finite", pos)
+            return NumLit(value)
+        if kind == "ident":
+            if text in _KEYWORDS:
+                raise ParseError(f"{text!r} is a reserved word", pos)
+            return VarRef(text)
+        raise ParseError(f"expected number or variable, got {text!r}", pos)
+
+
+def parse_guard(text: str):
+    """Parse a boolean guard; precedence not > comparison > and > or."""
+    return _GuardParser(text).parse()
+
+
+_SECTIONS = ("net", "colors", "places", "transitions", "arcs", "marking")
+_ROTATIONS = {"+": 1, "+1": 1, "-": -1, "-1": -1}
+_ARC_RE = re.compile(r"(?P<src>\S+)\s*->\s*(?P<dst>[^:]+?)\s*:\s*(?P<weight>.+)")
+
+
+def _strip(line: str) -> str:
+    return line.split("#", 1)[0].strip()
+
+
+def _reraise(err: ParseError, line_no: int, what: str) -> NetFileError:
+    return NetFileError(f"{what}: {err.message} (column {err.position + 1} of expression)", line_no)
+
+
+def parse_net(text: str, default_name: str = "net") -> Net:
+    """Parse net-file text into an (unvalidated) Net."""
+    sections: dict[str, list[tuple[int, str]]] = {s: [] for s in _SECTIONS}
+    current: str | None = None
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = _strip(raw)
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            name = line[1:-1].strip().lower()
+            if name not in _SECTIONS:
+                raise NetFileError(f"unknown section [{name}]", line_no)
+            current = name
+            continue
+        if current is None:
+            raise NetFileError(f"content before any section header: {line!r}", line_no)
+        sections[current].append((line_no, line))
+
+    name = default_name
+    for line_no, line in sections["net"]:
+        key, sep, value = line.partition("=")
+        if key.strip() != "name" or not sep:
+            raise NetFileError("expected 'name = <net name>'", line_no)
+        name = value.strip()
+        if not name:
+            raise NetFileError("net name is empty", line_no)
+
+    colors: list[str] = []
+    for line_no, line in sections["colors"]:
+        for token in line.replace(",", " ").split():
+            colors.append(token)
+
+    places: list[Place] = []
+    for line_no, line in sections["places"]:
+        parts = line.split()
+        if len(parts) != 2:
+            raise NetFileError(f"expected '<place id> <+|->', got {line!r}", line_no)
+        pid, sign = parts
+        if sign not in _ROTATIONS:
+            raise NetFileError(f"rotation must be '+' or '-', got {sign!r}", line_no)
+        places.append(Place(pid, _ROTATIONS[sign]))
+
+    transitions: list[Transition] = []
+    for line_no, line in sections["transitions"]:
+        tid, sep, guard_text = line.partition(":")
+        tid = tid.strip()
+        if not tid or len(tid.split()) != 1:
+            raise NetFileError(f"expected '<transition id> [: guard]', got {line!r}", line_no)
+        if sep:
+            try:
+                guard = parse_guard(guard_text.strip())
+            except ParseError as err:
+                raise _reraise(err, line_no, f"guard of {tid!r}") from None
+            transitions.append(Transition(tid, guard))
+        else:
+            transitions.append(Transition(tid))
+
+    arcs: list[Arc] = []
+    for line_no, line in sections["arcs"]:
+        m = _ARC_RE.fullmatch(line)
+        if m is None:
+            raise NetFileError(f"expected '<source> -> <target> : <weight>', got {line!r}", line_no)
+        src, dst = m.group("src"), m.group("dst").strip()
+        try:
+            weight = parse_weight_expr(m.group("weight").strip(), colors)
+        except ParseError as err:
+            raise _reraise(err, line_no, f"weight of arc {src}->{dst}") from None
+        arcs.append(Arc(src, dst, weight))
+
+    assignment: dict[str, Multiset] = {}
+    for line_no, line in sections["marking"]:
+        pid, sep, tokens_text = line.partition("=")
+        pid = pid.strip()
+        if not sep or not pid:
+            raise NetFileError(f"expected '<place id> = <weight expression>', got {line!r}", line_no)
+        if pid in assignment:
+            raise NetFileError(f"place {pid!r} marked twice", line_no)
+        try:
+            assignment[pid] = parse_weight_expr(tokens_text.strip(), colors)
+        except ParseError as err:
+            raise _reraise(err, line_no, f"marking of {pid!r}") from None
+
+    return Net(
+        name=name,
+        colors=tuple(colors),
+        places=tuple(places),
+        transitions=tuple(transitions),
+        arcs=tuple(arcs),
+        initial_marking=Marking(assignment),
+    )

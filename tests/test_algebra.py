@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -26,11 +27,13 @@ from orbitpn import (
     models,
     parse_guard,
     reachability_graph,
+    render_guard,
     simulate,
     trace_io,
     verify_sequence_consistency,
 )
 from orbitpn.engine import MODES
+from orbitpn.expr import compile_guard
 import reference
 from strategies import live_nets, nets
 
@@ -346,6 +349,31 @@ class TestReachabilityCondition:
             assert witness == min(solutions)
         else:
             assert witness is None
+
+
+def test_calls_leave_no_cyclic_garbage(debris_net):
+    """What these calls make is freed by reference counting alone: no cycle is
+    left for the collector, so a long run of them does not grow memory."""
+    m0, guard = debris_net.initial_marking, parse_guard("a > 1 and not (b < 2 or c - 1 == d)")
+    calls = {
+        "witness found": lambda: check_reachability_condition(
+            debris_net, m0, Marking({"P1": ["S"]}), 6),
+        "no witness": lambda: check_reachability_condition(
+            debris_net, m0, Marking({"P1": ["S", "S"]}), 6),
+        # its code object is kept only while a function uses it, so every
+        # call here compiles the source afresh
+        "compile_guard": lambda: compile_guard(guard),
+        "render_guard": lambda: render_guard(guard),
+    }
+    for name, call in calls.items():
+        call()  # the net compiles on first use
+        gc.disable()
+        try:
+            gc.collect()
+            call()
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
 
 def apply_state_equation_or_none(net, data, bound):

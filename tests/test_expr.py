@@ -74,6 +74,13 @@ class TestParseWeightExpr:
             parse_weight_expr("1" * 5000 + "x", COLORS)
         assert exc.value.position == 0
 
+    def test_digits_are_ascii(self):
+        # '٣' is ARABIC-INDIC DIGIT THREE: no coefficient, and no part of a name
+        for text, offset in (("٣x", 0), ("x+٣x", 2), ("x+2٣x", 3)):
+            with pytest.raises(ParseError, match="unexpected character '٣'") as exc:
+                parse_weight_expr(text, COLORS)
+            assert exc.value.position == offset
+
 
 class TestRenderWeightExpr:
     def test_sorted_terms(self):
@@ -125,6 +132,13 @@ class TestParseGuard:
 
     def test_error_position_at_or_before_offense(self):
         for text, offset in (("clock > $", 8), ("x < 1e999", 4)):
+            with pytest.raises(ParseError) as exc:
+                parse_guard(text)
+            assert exc.value.position == offset
+
+    def test_digits_are_ascii(self):
+        for text, offset in (("a < ٣", 4), ("a < 1٣", 5), ("a < 1.٣", 6), ("a < 1e٣", 6),
+                             ("a٣ < 1", 1)):
             with pytest.raises(ParseError) as exc:
                 parse_guard(text)
             assert exc.value.position == offset

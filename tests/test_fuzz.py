@@ -1,7 +1,8 @@
 """Parser fuzz: arbitrary text and mutated bundled net files raise only the
 parsers' own errors (`NetFileError`, `ParseError`), which `opn` turns into
-exit code 2; and every `opn` subcommand, run on a bundled or mutated file
-with junk flags, exits 0, 1 or 2 and raises nothing else."""
+exit code 2, and the parsers agree with their earlier form in
+`tests/reference.py`; and every `opn` subcommand, run on a bundled or
+mutated file with junk flags, exits 0, 1 or 2 and raises nothing else."""
 
 import contextlib
 import io
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbitpn import cli, expr, models, netfile
+from orbitpn import cli, expr, models, netfile, render_guard
+import reference
+from strategies import guards
 
 BUNDLED = tuple(Path(models.model_path(name)).read_text(encoding="utf-8") for name in models.NAMES)
 
@@ -64,6 +67,51 @@ def test_parse_weight_expr_raises_only_parse_errors(text, colors):
         expr.parse_weight_expr(text, colors)
     except expr.ParseError:
         pass
+
+
+def outcome(parse, *args):
+    """What `parse` returns, or the type, message and place of the error it raises."""
+    try:
+        return parse(*args)
+    except expr.ParseError as err:
+        return type(err), err.message, err.position
+    except netfile.NetFileError as err:
+        return type(err), str(err), err.line
+
+
+# guards at and just over the nesting bound, counted by parentheses, by tree
+# height, and by both at once
+_DEEP = [*(text for k in (100, 101) for text in (
+    "(" * k + "a > 1" + ")" * k, "not " * k + "a > 1", "! " * (k - 1) + "a > 1",
+    " and ".join(["a > 1"] * (k + 1)), " || ".join(["a > 1"] * k),
+    " + ".join(["a"] * k) + " > 1", "a > " + " - ".join(["1"] * k),
+    "(" * (k - 1) + "not " * (k - 1) + "a > 1" + ")" * (k - 1),
+    "(" * (k - 1) + " and ".join(["a > 1"] * k) + ")" * (k - 1),
+)), "(" * 200 + "true" + ")" * 200]
+
+
+@given(text=st.text() | mutated(BUNDLED))
+@example(text="[colors]\nx\n[marking]\nP1 = " + "1" * 5000 + "x\n")
+@example(text=BUNDLED[0] + "\n[transitions]\nt9 : " + "not " * 100 + "a > 1\n")
+@example(text="[colors]\na\n[arcs]\nP1 ->  : a\nt1 -> P1 : a\n")
+def test_parse_net_agrees_with_reference(text):
+    assert outcome(netfile.parse_net, text) == outcome(reference.parse_net, text)
+
+
+@settings(max_examples=200)
+@given(text=st.text() | mutated(EXPRESSIONS) | guards.map(render_guard) | st.sampled_from(_DEEP))
+@example(text="a < .5 and b >= 1. or c == 2e-3 + .7E+2")
+def test_parse_guard_agrees_with_reference(text):
+    assert outcome(expr.parse_guard, text) == outcome(reference.parse_guard, text)
+
+
+@given(text=st.text() | mutated(EXPRESSIONS),
+       colors=st.sampled_from((("x", "y"), ("A", "B", "C", "D"), ("S", "D"))))
+@example(text="1" * 5000 + "x", colors=("x",))
+@example(text="x + 2  ", colors=("x",))
+def test_parse_weight_expr_agrees_with_reference(text, colors):
+    assert (outcome(expr.parse_weight_expr, text, colors)
+            == outcome(reference.parse_weight_expr, text, colors))
 
 
 # each subcommand with small fixed bounds: the witness search is exponential

@@ -11,6 +11,7 @@ from orbitpn import (
     validate_net,
 )
 from orbitpn import models
+import reference
 
 MINIMAL = """
 [net]
@@ -105,6 +106,68 @@ class TestParseNet:
         with pytest.raises(NetFileError) as exc:
             parse_net(text)
         assert exc.value.line == 7
+
+
+SHARED = """
+[colors]
+a, b
+
+[places]
+P1 +
+P2 -
+P3 +
+
+[transitions]
+t1 : clock - T1 <= eps and not hold == 1
+t2 : clock - T1 <= eps and not hold == 1
+t3 : clock - T1 <= eps and not hold == 1   # the same text before a comment
+t4 : clock  -  T1 <= eps and not hold == 1
+t5
+
+[arcs]
+P1 -> t1 : 2a+b
+t1 -> P2 : 2a+b
+P2 -> t2 : 2a+b
+t2 -> P3 : a
+P3 -> t3 : a
+t3 -> P1 : a
+P1 -> t4 : b
+t4 -> P1 : b
+
+[marking]
+P1 = 2a+b
+P3 = a
+"""
+
+
+class TestRepeatedTexts:
+    """A guard or weight text repeated in a file is parsed once and shared."""
+
+    def test_shared_values_equal_fresh_parses(self):
+        net = parse_net(SHARED)
+        texts = [line.split(":", 1)[1].split("#")[0].strip()
+                 for line in SHARED.splitlines() if line.startswith("t") and ":" in line
+                 and "->" not in line]
+        guarded = [t for t in net.transitions if t.id != "t5"]
+        assert [t.guard for t in guarded] == [parse_guard(text) for text in texts]
+        assert guarded[0].guard is guarded[1].guard is guarded[2].guard
+        assert guarded[3].guard is not guarded[0].guard  # another text, parsed again
+        weights = {arc.weight for arc in net.arcs}
+        assert weights == {Multiset({"a": 2, "b": 1}), Multiset({"a": 1}), Multiset({"b": 1})}
+        assert net.arcs[0].weight is net.arcs[1].weight is net.initial_marking["P1"]
+        assert validate_net(net) == []
+
+    def test_agrees_with_reference(self):
+        assert parse_net(SHARED) == reference.parse_net(SHARED)
+
+    def test_error_on_repeated_text_located(self):
+        # the first line with the bad text is the one reported
+        text = SHARED.replace("P2 -> t2 : 2a+b", "P2 -> t2 : 2a+c").replace(
+            "P3 -> t3 : a", "P3 -> t3 : 2a+c")
+        with pytest.raises(NetFileError) as exc:
+            parse_net(text)
+        assert exc.value.line == 20
+        assert str(exc.value) == str(pytest.raises(NetFileError, reference.parse_net, text).value)
 
 
 class TestLoadNet:
