@@ -17,7 +17,7 @@ adds an integer column.  The incidence matrix shows those columns.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 from .engine import Trace, _check_mode
@@ -79,13 +79,6 @@ def format_incidence(matrix: IncidenceMatrix) -> str:
     return "\n".join(lines)
 
 
-def _check_places(net: Net, m: Marking) -> None:
-    """KeyError for the first place of `m` that the net lacks."""
-    for place in m.places():
-        if place not in net.place_index:
-            raise KeyError(f"marking references unknown place {place!r}")
-
-
 def apply_state_equation(net: Net, m: Marking, u: Sequence[int]) -> Marking:
     """M + A*u over the compiled slot vector, converted back to a marking.
 
@@ -94,13 +87,12 @@ def apply_state_equation(net: Net, m: Marking, u: Sequence[int]) -> Marking:
     The first negative count is reported, places in declaration order and
     colors sorted.
     """
-    u = tuple(u)
+    u = tuple(map(index, u))
     if len(u) != len(net.transitions):
         raise ValueError(f"firing-count vector has {len(u)} entries, net has {len(net.transitions)} transitions")
     if any(count < 0 for count in u):
         raise ValueError("firing counts must be nonnegative")
-    _check_places(net, m)
-    view = net.compiled.covering(net, m)
+    view = net.compiled
     vec = list(view.encode(m))
     for count, column in zip(u, view.delta):
         if count:
@@ -127,11 +119,9 @@ def check_reachability_condition(net: Net, m0: Marking, md: Marking,
     Each candidate is tested by integer dot products with the rows of the
     compiled incidence matrix that some transition touches.
     """
-    if max_total_firings < 0:
+    if index(max_total_firings) < 0:
         raise ValueError("max_total_firings must be nonnegative")
-    _check_places(net, md)
-    _check_places(net, m0)
-    view = net.compiled.covering(net, m0, md)
+    view = net.compiled
     target = [b - a for a, b in zip(view.encode(m0), view.encode(md))]
     n = len(net.transitions)
     rows: dict[int, list[int]] = {}
@@ -204,11 +194,12 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     The search runs over the packed markings of the compiled net
     (`CompiledNet.explore`); nodes become `Marking`s once, at the end.
     """
+    max_depth, max_states = index(max_depth), index(max_states)
     if max_depth < 0 or max_states < 1:
         raise ValueError("max_depth must be >= 0 and max_states >= 1")
     if net.transitions:
         _check_mode(mode)
-    view = net.compiled.covering(net, m0)
+    view = net.compiled
     # The environment is fixed, so every guard is evaluated once, in
     # declaration order, as the checks at the first state would: an unbound
     # variable raises whether or not any transition is token-enabled.

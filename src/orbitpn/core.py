@@ -27,9 +27,9 @@ from .multiset import Multiset
 class CompiledNet:
     """A net unfolded over integer (place, color) slots.
 
-    Slot ``i * width + j`` counts the tokens of ``colors[j]`` at the i-th
-    declared place.  The colors, sorted, are the declared ones, every color
-    on an arc, and any `extra_colors`.  Per transition, in declaration order:
+    Slot ``offset[p] + j`` counts ``colors[j]`` at place ``p``; the i-th
+    declared place has offset ``i * width``.  The colors, sorted, are the
+    declared ones and every color on an arc.  Per transition, in declaration order:
 
     * ``delta[k]``: the nonzero (slot, d) of the transition's incidence column;
     * ``spans[k]``: (lo, hi, counts) per input arc, the arc's place slots and
@@ -43,11 +43,11 @@ class CompiledNet:
     makes no reference cycle.
     """
 
-    __slots__ = ("place_ids", "transition_ids", "colors", "column", "width",
+    __slots__ = ("place_ids", "transition_ids", "colors", "column", "width", "offset",
                  "delta", "spans", "guard_exprs", "guards", "tests", "peak", "rise")
 
-    def __init__(self, net: Net, extra_colors: Iterable[str] = ()):
-        colors = set(net.colors).union(extra_colors)
+    def __init__(self, net: Net):
+        colors = set(net.colors)
         for arc in net.arcs:
             colors.update(arc.weight.colors())
         self.place_ids = net.place_ids
@@ -58,7 +58,7 @@ class CompiledNet:
         self.colors = tuple(sorted(colors))
         self.width = width = len(self.colors)
         self.column = column = {c: j for j, c in enumerate(self.colors)}
-        base = {p: i * width for i, p in enumerate(net.place_ids)}
+        self.offset = base = {p: i * width for i, p in enumerate(net.place_ids)}
         self.delta, self.spans = [], []
         for t in net.transition_ids:
             spans, delta = [], {}
@@ -78,20 +78,18 @@ class CompiledNet:
         self.peak = max((n for spans in self.spans for _, _, counts in spans for n in counts), default=0)
         self.rise = max((d for column in self.delta for _, d in column if d > 0), default=0)
 
-    def covering(self, net: Net, *markings: Marking) -> "CompiledNet":
-        """This view of `net`, or a copy widened to the colors the markings
-        hold beyond it (possible only in markings `validate_net` would reject)."""
-        held = {c for m in markings for _, ms in m.items() for c in ms.colors()}
-        extra = held.difference(self.colors)
-        return CompiledNet(net, extra) if extra else self
-
     def encode(self, m: Marking) -> tuple[int, ...]:
-        """Slot counts of `m` at the net's places; other places are ignored."""
-        width, column = self.width, self.column
-        vec = [0] * (width * len(self.place_ids))
-        for i, pid in enumerate(self.place_ids):
-            for color, n in m[pid].items():
-                vec[i * width + column[color]] = n
+        """Slot counts of `m`; the one check that a marking lies in the net: a
+        KeyError for the first place of `m` (sorted) outside it, or for a color
+        outside `colors` there."""
+        vec = [0] * (self.width * len(self.place_ids))
+        for place, ms in m.items():
+            if place not in self.offset:
+                raise KeyError(f"marking references unknown place {place!r}")
+            for color, n in ms.items():
+                if color not in self.column:
+                    raise KeyError(f"marking references unknown color {color!r} at place {place!r}")
+                vec[self.offset[place] + self.column[color]] = n
         return tuple(vec)
 
     def pack(self, vec: Sequence[int], firings: int = 0) -> tuple[int, int]:
@@ -102,21 +100,17 @@ class CompiledNet:
         size = (bound.bit_length() + 8) // 8
         return int.from_bytes(b"".join(n.to_bytes(size, "little") for n in vec), "little"), size
 
-    def decode(self, packed: Iterable[int], size: int, base: Marking | None = None) -> list[Marking]:
-        """Markings of ints packed at `size` bytes a field, each with the
-        places of `base` outside the net carried unchanged.
-
-        Equal place contents share one `Multiset` across the whole batch.
-        """
+    def decode(self, packed: Iterable[int], size: int) -> list[Marking]:
+        """Markings of ints packed at `size` bytes a field; equal place
+        contents share one `Multiset` across the whole batch."""
         step = self.width * size
         places = [(pid, i * step, (i + 1) * step) for i, pid in enumerate(self.place_ids)]
-        rest = {p: ms for p, ms in base.items() if p not in self.place_ids} if base else {}
         empty, length = bytes(step), step * len(places)
         shared: dict[bytes, Multiset] = {}
         out = []
         for m in packed:
             raw = m.to_bytes(length, "little")
-            assignment = dict(rest)
+            assignment = {}
             for pid, lo, hi in places:
                 counts = raw[lo:hi]
                 if counts != empty:
@@ -229,4 +223,4 @@ class CompiledNet:
                     depths.append(depths[i] + 1)
                     index[after] = j
                 edges.append((i, t, j))
-        return self.decode(nodes, size, start), depths, edges, deadlocks, truncated
+        return self.decode(nodes, size), depths, edges, deadlocks, truncated

@@ -22,6 +22,7 @@ function.  `enabling_failure` reads the slot tuple to say what failed.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Sequence
 
 from .model import MODES, Environment, Marking, Net
@@ -44,14 +45,6 @@ class NotEnabledError(RuntimeError):
 class FiringEvent(Record):
     """One firing: 1-based step index, transition id, and the state it produced."""
     __slots__ = __match_args__ = ("step", "transition", "env_snapshot", "marking_after")
-
-    # one is built per firing, so the fields are set here, not by `Record`
-    def __init__(self, step: int, transition: str, env_snapshot: dict[str, float],
-                 marking_after: Marking):
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "transition", transition)
-        object.__setattr__(self, "env_snapshot", env_snapshot)
-        object.__setattr__(self, "marking_after", marking_after)
 
 
 class Trace(Record):
@@ -83,12 +76,12 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     """
     _check_mode(mode)
     k = net.transition_index[net.transition(t).id]  # KeyError names an unknown t
-    view = net.compiled.covering(net, m)
+    view = net.compiled
     guard_ok = view.guard(k)(env)
+    vec = view.encode(m)
     spans = view.spans[k]
     if not spans:
         return "no input arcs (source transitions are never enabled)"
-    vec = view.encode(m)
     for (place, called), (lo, hi, counts) in zip(net.inputs[t], spans):
         held = vec[lo:hi]
         if not any(held):
@@ -126,7 +119,7 @@ def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") ->
     """
     if net.transitions:
         _check_mode(mode)
-    view = net.compiled.covering(net, m)
+    view = net.compiled
     live = [k for k in range(len(net.transitions)) if view.guard(k)(env)]
     packed, size = view.pack(view.encode(m))
     return [t for t, _ in view.enabled_moves(live, mode, size)(packed)]
@@ -147,7 +140,7 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
         raise ValueError(f"sequence has {len(seq)} firings but {len(envs)} environments")
     if seq:
         _check_mode(mode)
-    view = net.compiled.covering(net, m0)
+    view = net.compiled
     m, size = view.pack(view.encode(m0), len(seq))
     tests = view.token_tests(mode, size)
     packed = []
@@ -159,7 +152,7 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
         m += move[0][1]
         packed.append(m)
     events = tuple(FiringEvent(k, t, dict(env), after) for k, (t, env, after)
-                   in enumerate(zip(seq, envs, view.decode(packed, size, m0)), start=1))
+                   in enumerate(zip(seq, envs, view.decode(packed, size)), start=1))
     trace = Trace(net.name, m0, events)
     if len(events) < len(seq):
         t, env = seq[len(events)], envs[len(events)]
@@ -186,9 +179,10 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
     """Run up to `steps` steps (see `step`), halting early on quiescence."""
     if policy not in ("sweep", "single"):
         raise ValueError(f"unknown policy {policy!r}; expected 'sweep' or 'single'")
+    steps = index(steps)
     if steps > 0 and net.transitions:
         _check_mode(mode)
-    view = net.compiled.covering(net, m0)
+    view = net.compiled
     # a sweep fires each transition at most once
     m, size = view.pack(view.encode(m0), max(steps, 0) * len(net.transitions))
     tests = view.token_tests(mode, size)
@@ -208,5 +202,5 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
         if not fired_any:
             break
     events = tuple(FiringEvent(k, t, dict(env), after) for k, (t, after)
-                   in enumerate(zip(fired, view.decode(packed, size, m0)), start=1))
+                   in enumerate(zip(fired, view.decode(packed, size)), start=1))
     return Trace(net.name, m0, events)

@@ -155,7 +155,7 @@ class SignedMultiset(FrozenMap):
 
 
 class Multiset(SignedMultiset):
-    """Immutable multiset of color names; every stored count is >= 1."""
+    """Immutable multiset of color names; every stored count is an int >= 1."""
 
     __slots__ = ()
 
@@ -168,6 +168,8 @@ class Multiset(SignedMultiset):
         else:
             pairs = ((c, 1) for c in counts)
         for color, n in pairs:
+            if not isinstance(n, int):
+                raise TypeError(f"multiplicity {n!r} for color {color!r} is not an integer")
             if n < 0:
                 raise ValueError(f"negative multiplicity {n} for color {color!r}")
             if n:

@@ -29,7 +29,7 @@ violation list, so a loaded net is always structurally sound.
 from __future__ import annotations
 
 import re
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 from . import expr
@@ -54,14 +54,6 @@ class NetFileError(ValueError):
 
 def _reraise(err: expr.ParseError, line_no: int, what: str) -> NetFileError:
     return NetFileError(f"{what}: {err.message} (column {err.position + 1} of expression)", line_no)
-
-
-def _once(values: dict, parse, text: str):
-    """`parse(text)`, kept in `values`, or the value kept there before."""
-    value = values.get(text)
-    if value is None:
-        value = values[text] = parse(text)
-    return value
 
 
 def parse_net(text: str, default_name: str = "net") -> Net:
@@ -108,9 +100,8 @@ def parse_net(text: str, default_name: str = "net") -> Net:
 
     # A text repeated in the file is parsed once: the trees and multisets
     # are immutable, so the lines that share a text can share its value.
-    guards: dict[str, expr.GuardExpr] = {}
-    weights: dict[str, Multiset] = {}
-    parse_weight = partial(expr.parse_weight_expr, colors=colors)
+    parse_guard = cache(expr.parse_guard)
+    parse_weight = cache(partial(expr.parse_weight_expr, colors=colors))
 
     transitions: list[Transition] = []
     for line_no, line in sections["transitions"]:
@@ -121,7 +112,7 @@ def parse_net(text: str, default_name: str = "net") -> Net:
         if sep:
             guard_text = guard_text.strip()
             try:
-                guard = _once(guards, expr.parse_guard, guard_text)
+                guard = parse_guard(guard_text)
             except expr.ParseError as err:
                 raise _reraise(err, line_no, f"guard of {tid!r}") from None
             transitions.append(Transition(tid, guard))
@@ -136,7 +127,7 @@ def parse_net(text: str, default_name: str = "net") -> Net:
         src, dst, weight_text = m.groups()
         dst = dst.strip()
         try:
-            w = _once(weights, parse_weight, weight_text.strip())
+            w = parse_weight(weight_text.strip())
         except expr.ParseError as err:
             raise _reraise(err, line_no, f"weight of arc {src}->{dst}") from None
         arcs.append(Arc(src, dst, w))
@@ -150,7 +141,7 @@ def parse_net(text: str, default_name: str = "net") -> Net:
         if pid in assignment:
             raise NetFileError(f"place {pid!r} marked twice", line_no)
         try:
-            assignment[pid] = _once(weights, parse_weight, tokens_text.strip())
+            assignment[pid] = parse_weight(tokens_text.strip())
         except expr.ParseError as err:
             raise _reraise(err, line_no, f"marking of {pid!r}") from None
 

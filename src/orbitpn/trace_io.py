@@ -135,12 +135,13 @@ def replay(net: Net, doc: dict) -> Marking:
 
     Raises ReplayError if the document lacks a field, has one of the wrong
     JSON type, is for another net, has an unknown mode, holds a marking that
-    does not parse, names an unknown transition, one that is not enabled or
-    one whose guard reads a variable its `env` lacks, or records a marking
-    that differs from what the engine reproduces.  The first fault in this
-    order is reported: the shape of `initial`, then of the events, step by
-    step; a missing or wrong `net`; an unknown `mode`; the replay's faults,
-    step by step; then `final`, its shape or a divergence.
+    does not parse, has an `initial` naming a place the net lacks, names an
+    unknown transition, one that is not enabled or one whose guard reads a
+    variable its `env` lacks, or records a marking that differs from what the
+    engine reproduces.  The first fault in this order is reported: the shape
+    of `initial` and its places, then of the events, step by step; a missing
+    or wrong `net`; an unknown `mode`; the replay's faults, step by step;
+    then `final`, its shape or a divergence.
 
     One pass reads the events and packs each recorded marking as
     `CompiledNet.pack` does; a second fires them on the packed marking, as
@@ -151,32 +152,32 @@ def replay(net: Net, doc: dict) -> Marking:
         raise ReplayError("document is not a JSON object")
     parse = _weights(net.colors)
     initial = _marking(_field(doc, "initial", kind=dict), parse, "document: 'initial'")
-    events = _field(doc, "events", kind=list)
     view = net.compiled
-    m, size = view.pack(view.encode(initial), len(events))
-    bits, column = 8 * size, view.column
-    slot = {pid: i * view.width for i, pid in enumerate(view.place_ids)}
-    outside = {p: ms for p, ms in initial.items() if p not in slot}
-    # a count at or over the cap, which no firing reaches, packs as a bit
-    # above every field: such a recording equals no marking the engine makes
+    try:
+        vec = view.encode(initial)
+    except KeyError as err:
+        raise ReplayError(f"document: 'initial': {err.args[0]}") from None
+    events = _field(doc, "events", kind=list)
+    m, size = view.pack(vec, len(events))
+    bits, column, slot = 8 * size, view.column, view.offset
+    # a count at or over the cap, which no firing reaches, or a place the net lacks
+    # packs as a bit above every field: such a recording equals no marking fired
     cap, past = 1 << bits - 1, 1 << bits * view.width * len(slot)
     worth: dict[tuple, int] = {}  # (place, text) -> its packed share
 
     recorded = []
     for k, ev in enumerate(events, start=1):
         step, t, env, entries = _event(ev, k)
-        after, extra = 0, {}
+        after = 0
         for place, text in entries.items():
-            if place not in slot or not isinstance(text, str):
-                extra[place] = _weight(place, text, parse, f"step {k}: 'marking'")
-                continue
-            share = worth.get((place, text))
+            share = worth.get((place, text)) if isinstance(text, str) else None
             if share is None:
                 counts = _weight(place, text, parse, f"step {k}: 'marking'").items()
-                share = worth[place, text] = past if any(n >= cap for _, n in counts) else sum(
+                fits = place in slot and all(n < cap for _, n in counts)
+                share = worth[place, text] = past if not fits else sum(
                     n << bits * (slot[place] + column[c]) for c, n in counts)
             after += share
-        recorded.append((step, t, env, after if extra == outside else past, entries))
+        recorded.append((step, t, env, after, entries))
 
     name = _field(doc, "net")
     if name != net.name:
@@ -195,13 +196,13 @@ def replay(net: Net, doc: dict) -> Marking:
         except UnboundVariableError as err:
             raise ReplayError(f"step {step}: {err}") from None
         if not move:
-            reason = enabling_failure(net, view.decode([m], size, initial)[0], t, env, mode)
+            reason = enabling_failure(net, view.decode([m], size)[0], t, env, mode)
             raise ReplayError(f"step {step}: transition {t!r} not enabled: {reason}")
         m += move[0][1]
         if m != after:
-            raise ReplayError(f"step {step}: replay produced {view.decode([m], size, initial)[0]}, "
+            raise ReplayError(f"step {step}: replay produced {view.decode([m], size)[0]}, "
                               f"document records {_marking(entries, parse, '')}")  # read once: no fault
-    got = view.decode([m], size, initial)[0]
+    got = view.decode([m], size)[0]
     final = _marking(_field(doc, "final", kind=dict), parse, "document: 'final'")
     if got != final:
         raise ReplayError(f"final marking diverges: replay {got}, document {final}")

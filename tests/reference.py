@@ -384,13 +384,17 @@ def _env_field(record: dict, step: int) -> dict[str, float]:
     return env
 
 
-def trace_from_document(doc: dict, colors) -> Trace:
-    """The trace a document records; raises ReplayError for a missing field,
-    a field of the wrong JSON type or a marking that does not parse."""
+def trace_from_document(doc: dict, net: Net) -> Trace:
+    """The trace a document records for `net`; raises ReplayError for a
+    missing field, a field of the wrong JSON type, a marking that does not
+    parse or an `initial` that names a place outside the net."""
     if not isinstance(doc, dict):
         raise ReplayError("document is not a JSON object")
-    parse = _weights(colors)
+    parse = _weights(net.colors)
     initial = _marking_field(doc, "initial", parse)
+    outside = [place for place in initial.places() if place not in net.place_ids]
+    if outside:
+        raise ReplayError(f"document: 'initial': marking references unknown place {outside[0]!r}")
     events = []
     for k, ev in enumerate(_field(doc, "events", kind=list), start=1):
         if not isinstance(ev, dict):
@@ -408,11 +412,11 @@ def replay(net: Net, doc: dict) -> Marking:
     """Re-fire every event of the document and return the resulting marking.
 
     Reads the whole document into a `Trace` first, so every fault of its
-    shape comes before any fault of its replay; then re-fires the events in
-    one `engine.fire_sequence` call, up to the first unknown transition, and
-    compares the two traces.
+    shape, and an `initial` outside the net, comes before any fault of its
+    replay; then re-fires the events in one `engine.fire_sequence` call, up
+    to the first unknown transition, and compares the two traces.
     """
-    trace = trace_from_document(doc, net.colors)
+    trace = trace_from_document(doc, net)
     if trace.net_name != net.name:
         raise ReplayError(f"document is for net {trace.net_name!r}, not {net.name!r}")
     mode = doc.get("mode", "subset")

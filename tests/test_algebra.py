@@ -274,12 +274,11 @@ class TestApplyStateEquation:
         assert result == expected
 
     def test_undeclared_color_in_marking(self, swap_net):
+        # refused whatever `u` is, before any arithmetic
         m = Marking({"P1": ["x", "q"], "P2": ["y"]})
-        assert apply_state_equation(swap_net, m, (1, 0)) == Marking({"P1": ["y", "q"],
-                                                                     "P2": ["x"]})
-        with pytest.raises(InfeasibleMarkingError) as exc:
-            apply_state_equation(swap_net, m, (2, 0))
-        assert (exc.value.place, exc.value.color, exc.value.coefficient) == ("P1", "x", -1)
+        for u in ((0, 0), (1, 0), (2, 0)):
+            with pytest.raises(KeyError, match="unknown color 'q' at place 'P1'"):
+                apply_state_equation(swap_net, m, u)
 
     @given(net=nets(), data=st.data())
     def test_unit_vector_matches_fire(self, net, data):
@@ -471,9 +470,13 @@ class TestReachabilityGraph:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_marking_outside_the_net(self, swap_net, mode):
-        # an undeclared color and an undeclared place, which validate_net rejects
-        m0 = Marking({"P1": ["x", "q"], "P2": ["y"], "P9": ["z"]})
-        assert_same_graph(swap_net, m0, {}, 4, 100, mode)
+        # an undeclared color or an undeclared place, which validate_net
+        # rejects, is refused at every bound
+        for m0, message in ((Marking({"P1": ["x", "q"], "P2": ["y"]}), "unknown color 'q' at place 'P1'"),
+                            (Marking({"P1": ["x"], "P2": ["y"], "P9": ["z"]}), "unknown place 'P9'")):
+            for max_depth, max_states in ((0, 1), (4, 100)):
+                with pytest.raises(KeyError, match=message):
+                    reachability_graph(swap_net, m0, {}, max_depth, max_states, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("held", [[], ["x"], ["x", "y"]])

@@ -404,7 +404,7 @@ class TestTraceDocuments:
         )
         net = load_net(models.model_path("satellite_swap"))
         doc = trace_io.read_trace(out_file)
-        trace = reference.trace_from_document(doc, net.colors)
+        trace = reference.trace_from_document(doc, net)
         assert trace_io.trace_document(net, trace, doc["mode"]) == doc
 
     def test_tampered_document_rejected(self, capsys, tmp_path):
@@ -453,11 +453,12 @@ class TestTraceDocuments:
         (lambda doc: doc.update(mode=["subset"]), "step 1: unknown containment mode ['subset']"),
         (lambda doc: doc["events"][1]["env"].pop("eps"),
          "step 2: unbound environment variable 'eps'"),
-        # a place outside the net, which replay carries over from `initial`
+        # a place outside the net: a recording that names one diverges, and
+        # an `initial` that names one is refused before any event is read
         (lambda doc: doc["events"][0]["marking"].update(Z="x"),
          "step 1: replay produced P1=y, P2=x, document records P1=y, P2=x, Z=x"),
         (lambda doc: [doc["initial"].update(Z="x"), doc["events"][0]["marking"].update(Z="2x")],
-         "step 1: replay produced P1=y, P2=x, Z=x, document records P1=y, P2=x, Z=2x"),
+         "document: 'initial': marking references unknown place 'Z'"),
     ], ids=["initial", "events", "final", "net", "env", "marking", "transition",
             "unknown-transition", "other-net", "undeclared-color", "not-enabled",
             "marking-string", "initial-list", "env-string", "env-list", "events-number",
@@ -494,8 +495,8 @@ class TestTraceDocuments:
         assert str(exc.value) == "step 2: replay produced P1=x, P2=y, document records P1=y, P2=x"
 
     # two faults each; the first in this order is reported: the shape of
-    # `initial`, of the events step by step, `net`, `mode`, the replay step
-    # by step, `final`
+    # `initial`, its places (the first outside the net, sorted), the shape of
+    # the events step by step, `net`, `mode`, the replay step by step, `final`
     @pytest.mark.parametrize("damages, message", [
         ([lambda doc: doc["events"][0].update(transition="t2"), lambda doc: doc["events"][2].pop("env")],
          "step 3: missing 'env'"),
@@ -504,6 +505,10 @@ class TestTraceDocuments:
          "step 3: 'marking': unknown color 'q' (at offset 0)"),
         ([lambda doc: doc["initial"].update(P1=3), lambda doc: doc["events"][0].pop("env")],
          "document: 'initial': place 'P1' holds 3, not a weight expression"),
+        ([lambda doc: doc["initial"].update(A="x"), lambda doc: doc["initial"].update(Z=3)],
+         "document: 'initial': place 'Z' holds 3, not a weight expression"),
+        ([lambda doc: doc["initial"].update(Z="x", A="y"), lambda doc: doc.pop("events")],
+         "document: 'initial': marking references unknown place 'A'"),
         ([lambda doc: doc["events"][3].pop("step"), lambda doc: doc.pop("net")], "step 4: missing 'step'"),
         ([lambda doc: doc.update(net="other"), lambda doc: doc.update(mode="loose")],
          "document is for net 'other', not 'swap_infinite'"),
@@ -518,6 +523,7 @@ class TestTraceDocuments:
           lambda doc: doc["events"][1].update(marking={"P1": "y", "P2": "x"})],
          "step 1: unknown transition 't9'"),
     ], ids=["shape-before-not-enabled", "shape-before-mismatch", "initial-before-events",
+            "initial-shape-before-places", "initial-places-before-events",
             "events-before-net", "net-before-mode", "net-before-mismatch", "mode-before-unknown",
             "not-enabled-before-final", "unknown-before-mismatch"])
     def test_fault_order(self, damages, message):

@@ -288,20 +288,13 @@ def chained_simulate(net, m0, env, steps, policy, mode):
 
 @st.composite
 def guarded_nets(draw):
-    """`live_nets()` in which some guard reads a variable, and whose start
-    marking now and then holds a bystander token of an undeclared color
-    (which `validate_net` rejects but the engine still defines)."""
+    """`live_nets()` in which some guard reads a variable."""
     net, env = draw(live_nets())
     if not env:
         first = net.transitions[0]
         guard = AndExpr(first.guard, Comparison("<=", VarRef("v"), NumLit(draw(st.floats(0, 10)))))
         net = replace_net(net, transitions=(Transition(first.id, guard),) + net.transitions[1:])
         env = {"v": 0.0}
-    if draw(st.integers(0, 3)) == 3:
-        marking = dict(net.initial_marking.items())
-        place = draw(st.sampled_from(net.place_ids))
-        marking[place] = marking.get(place, Multiset()) + Multiset(["undeclared"])
-        net = replace_net(net, initial_marking=Marking(marking))
     return net, env
 
 
@@ -393,17 +386,22 @@ class TestMergedPathsAgree:
 
     @pytest.mark.parametrize("mode", ("subset", "exact"))
     def test_empty_call_and_undeclared_bystander(self, mode):
-        # an arc calling no tokens still needs a token at its place, and a
-        # token of an undeclared color is a bystander
+        # an arc calling no tokens still needs a token at its place; a token
+        # of an undeclared color is outside the net and refused, not a bystander
         net = Net("empty_call", ("x", "y"), (Place("P1", 1), Place("P2", -1)),
                   (Transition("t1"), Transition("t2")),
                   (Arc("P1", "t1", Multiset()), Arc("t1", "P2", Multiset(["y"])),
                    Arc("P2", "t2", Multiset(["y"])), Arc("t2", "P1", Multiset(["x"]))))
-        for held in ([], ["x"], ["x", "q"]):
-            for bystander in ([], ["q"]):
-                m = Marking({"P1": held, "P2": ["y"] + bystander})
-                for t in net.transition_ids:
-                    assert_one_step_agrees(net, m, t, {}, mode)
+        for held in ([], ["x"], ["x", "y"]):
+            m = Marking({"P1": held, "P2": ["y"]})
+            for t in net.transition_ids:
+                assert_one_step_agrees(net, m, t, {}, mode)
+            m = Marking({"P1": held, "P2": ["y", "q"]})
+            refused = ("raised", KeyError, repr("marking references unknown color 'q' at place 'P2'"))
+            assert outcome(enabled_set, net, m, {}, mode) == refused
+            for t in net.transition_ids:
+                assert outcome(enabling_failure, net, m, t, {}, mode) == refused
+                assert outcome(fire, net, m, t, {}, mode) == refused
 
     def test_unknown_mode_matches_chained_fire(self, swap_net):
         # the mode is checked when the first firing is tried, not before,

@@ -30,6 +30,15 @@ class TestMultiset:
         with pytest.raises(ValueError):
             Multiset({"x": -1})
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2", None])
+    def test_non_integer_count_rejected(self, n):
+        with pytest.raises(TypeError, match="is not an integer"):
+            Multiset({"x": n})
+
+    def test_bool_counts_as_int(self):
+        assert Multiset({"x": True, "y": False}) == Multiset(["x"])
+        assert str(Multiset({"x": True})) == "x"
+
     def test_add_sub(self):
         a = Multiset({"x": 2})
         b = Multiset({"x": 1, "y": 1})
