@@ -9,7 +9,10 @@ compare and add plain integers instead of formal sums.
 The firing kernel packs the vector into one int, whole bytes per slot, as
 explicit-state model checkers pack a state into one word (Holzmann, IEEE
 TSE 23(5), 1997): a token test is one subtraction and a firing one addition.
-Each call sizes the fields from the firings it can make (`pack`).
+Each call sizes the fields from the firings it can make (`pack`).  As in
+explicit-state generators (K. Wolf, ICATPN 2007), work is local: the BFS
+memoises a token test on its input places' fields, and a marking is decoded
+from the one it was fired from, at the places the firing touched.
 
 `Net.compiled` builds a `CompiledNet` on first use and imports this module
 only then: most `opn` runs never need it and do not pay to load it.
@@ -17,6 +20,7 @@ only then: most `opn` runs never need it and do not pay to load it.
 
 from __future__ import annotations
 
+from itertools import chain, groupby, repeat
 from typing import Callable, Iterable, Sequence
 
 from .expr import compile_guard
@@ -34,6 +38,7 @@ class CompiledNet:
     * ``delta[k]``: the nonzero (slot, d) of the transition's incidence column;
     * ``spans[k]``: (lo, hi, counts) per input arc, the arc's place slots and
       the counts it calls there; empty when the transition has no input arc;
+    * ``touched[k]``: the indices of the places ``delta[k]`` changes;
     * ``guards[k]``: its guard, compiled by `guard` on first use.
 
     ``peak`` is the largest count an arc calls, ``rise`` the largest positive
@@ -44,7 +49,7 @@ class CompiledNet:
     """
 
     __slots__ = ("place_ids", "transition_ids", "colors", "column", "width", "offset",
-                 "delta", "spans", "guard_exprs", "guards", "tests", "peak", "rise")
+                 "delta", "spans", "touched", "guard_exprs", "guards", "tests", "peak", "rise")
 
     def __init__(self, net: Net):
         colors = set(net.colors)
@@ -75,6 +80,7 @@ class CompiledNet:
                     delta[slot] = delta.get(slot, 0) + n
             self.delta.append(tuple((s, d) for s, d in sorted(delta.items()) if d))
             self.spans.append(tuple(spans))
+        self.touched = [sorted({slot // width for slot, _ in column}) for column in self.delta]
         self.peak = max((n for spans in self.spans for _, _, counts in spans for n in counts), default=0)
         self.rise = max((d for column in self.delta for _, d in column if d > 0), default=0)
 
@@ -100,25 +106,35 @@ class CompiledNet:
         size = (bound.bit_length() + 8) // 8
         return int.from_bytes(b"".join(n.to_bytes(size, "little") for n in vec), "little"), size
 
-    def decode(self, packed: Iterable[int], size: int) -> list[Marking]:
-        """Markings of ints packed at `size` bytes a field; equal place
-        contents share one `Multiset` across the whole batch."""
+    def decode(self, packed: Sequence[int], size: int,
+               edges: Iterable[tuple[int, str, int]] = ()) -> list[Marking]:
+        """Markings of ints packed at `size` bytes a field.  The j-th of
+        `edges`, (i, t, j), is the firing that made marking j from an earlier
+        i (the first edge into a BFS node, a step of a chain): j copies i's
+        places and reads only those t touches.  Marking 0, and any past the
+        edges, is read in full.  Equal place contents share one `Multiset`."""
         step = self.width * size
-        places = [(pid, i * step, (i + 1) * step) for i, pid in enumerate(self.place_ids)]
-        empty, length = bytes(step), step * len(places)
-        shared: dict[bytes, Multiset] = {}
-        out = []
-        for m in packed:
-            raw = m.to_bytes(length, "little")
-            assignment = {}
-            for pid, lo, hi in places:
-                counts = raw[lo:hi]
-                if counts != empty:
-                    ms = shared.get(counts)
-                    if ms is None:
-                        ms = shared[counts] = Multiset({c: int.from_bytes(counts[j:j + size], "little")
-                                                        for c, j in zip(self.colors, range(0, step, size))})
-                    assignment[pid] = ms
+        field = (1 << 8 * step) - 1  # the fields of one place
+        places = [(pid, 8 * step * i) for i, pid in enumerate(self.place_ids)]
+        touched = {t: [places[p] for p in ps] for t, ps in zip(self.transition_ids, self.touched)}
+        shared: dict[int, Multiset] = {}
+        out: list[Marking] = []
+        for m, (i, t, _) in zip(packed, chain([(None,) * 3], edges, repeat((None,) * 3))):
+            if i is None:
+                assignment, read = {}, places
+            else:
+                assignment, read = out[i]._map.copy(), touched[t]
+            for pid, shift in read:
+                counts = m >> shift & field
+                if not counts:
+                    assignment.pop(pid, None)
+                    continue
+                ms = shared.get(counts)
+                if ms is None:
+                    raw = counts.to_bytes(step, "little")
+                    ms = shared[counts] = Multiset({c: int.from_bytes(raw[j:j + size], "little")
+                                                    for c, j in zip(self.colors, range(0, step, size))})
+                assignment[pid] = ms
             out.append(Marking._of(assignment))
         return out
 
@@ -193,18 +209,35 @@ class CompiledNet:
         `algebra.reachability_graph` defines them.  Nodes are under max_states
         firings deep, and expanded only above max_depth, so every marking
         computed is at most min(max_depth, max_states) firings from `start`.
+
+        `live` is cut into maximal runs of consecutive transitions that read
+        the same input places.  A run's token test reads only those places'
+        fields (`mask`): no subset-mode borrow leaves its field, and the exact
+        spans lie within `mask`.  So its moves at `m` are memoised under
+        `m & mask`, for this call only.  Each node is decoded from the first
+        edge into it.
         """
         m0, size = self.pack(self.encode(start), min(max_depth, max_states))
-        moves = self.enabled_moves(live, mode, size)
+        place = (1 << 8 * size * self.width) - 1  # the fields of the first place
+        runs = groupby(live, lambda k: {lo for lo, _, _ in self.spans[k]})
+        tests = [(sum(place << 8 * size * lo for lo in reads), self.enabled_moves(run, mode, size), {})
+                 for reads, run in runs]
         nodes: list[int] = [m0]
         depths: list[int] = [0]
         index: dict[int, int] = {m0: 0}
         edges: list[tuple[int, str, int]] = []
+        found: list[tuple[int, str, int]] = []  # the first edge into each node but the start
         deadlocks: list[int] = []
         truncated = False
 
         for i, m in enumerate(nodes):  # nodes grows while it is walked
-            options = moves(m)
+            options = []
+            for mask, test, memo in tests:
+                key = m & mask
+                run = memo.get(key)
+                if run is None:
+                    run = memo[key] = test(key)
+                options += run
             if not options:
                 deadlocks.append(i)
                 continue
@@ -218,9 +251,11 @@ class CompiledNet:
                     if len(nodes) >= max_states:
                         truncated = True
                         continue
-                    j = len(nodes)
+                    j = index[after] = len(nodes)
                     nodes.append(after)
                     depths.append(depths[i] + 1)
-                    index[after] = j
-                edges.append((i, t, j))
-        return self.decode(nodes, size), depths, edges, deadlocks, truncated
+                    found.append((i, t, j))
+                    edges.append(found[-1])
+                else:
+                    edges.append((i, t, j))
+        return self.decode(nodes, size, found), depths, edges, deadlocks, truncated

@@ -133,8 +133,8 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
     error carries the 1-based step index and the trace of the prefix that did
     execute.
 
-    Markings are decoded once, at the end or at the refusal, and only a
-    refusal calls `enabling_failure`, for its reason.
+    Markings are decoded once, at the end or at the refusal, each from the
+    one before it, and only a refusal calls `enabling_failure`, for its reason.
     """
     if len(seq) != len(envs):
         raise ValueError(f"sequence has {len(seq)} firings but {len(envs)} environments")
@@ -143,7 +143,7 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
     view = net.compiled
     m, size = view.pack(view.encode(m0), len(seq))
     tests = view.token_tests(mode, size)
-    packed = []
+    packed = [m]
     for t, env in zip(seq, envs):
         k = net.transition_index.get(t)
         move = k is not None and view.guard(k)(env) and tests[k](m)
@@ -151,8 +151,9 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
             break
         m += move[0][1]
         packed.append(m)
-    events = tuple(FiringEvent(k, t, dict(env), after) for k, (t, env, after)
-                   in enumerate(zip(seq, envs, view.decode(packed, size)), start=1))
+    after = view.decode(packed, size, ((k, t, k + 1) for k, t in enumerate(seq)))[1:]
+    events = tuple(FiringEvent(k, t, dict(env), marking) for k, (t, env, marking)
+                   in enumerate(zip(seq, envs, after), start=1))
     trace = Trace(net.name, m0, events)
     if len(events) < len(seq):
         t, env = seq[len(events)], envs[len(events)]
@@ -186,7 +187,7 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
     # a sweep fires each transition at most once
     m, size = view.pack(view.encode(m0), max(steps, 0) * len(net.transitions))
     tests = view.token_tests(mode, size)
-    fired, packed = [], []
+    fired, packed = [], [m]
     for _ in range(steps):
         fired_any = False
         for k, test in enumerate(tests):
@@ -201,6 +202,7 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
                     break
         if not fired_any:
             break
-    events = tuple(FiringEvent(k, t, dict(env), after) for k, (t, after)
-                   in enumerate(zip(fired, view.decode(packed, size)), start=1))
+    after = view.decode(packed, size, ((k, t, k + 1) for k, t in enumerate(fired)))[1:]
+    events = tuple(FiringEvent(k, t, dict(env), marking) for k, (t, marking)
+                   in enumerate(zip(fired, after), start=1))
     return Trace(net.name, m0, events)

@@ -126,6 +126,9 @@ class SignedMultiset(FrozenMap):
 
     def __init__(self, coeffs: Mapping[str, int] = ()):
         pairs = coeffs._map if isinstance(coeffs, SignedMultiset) else dict(coeffs)
+        for color, n in pairs.items():
+            if not isinstance(n, int):
+                raise TypeError(f"coefficient {n!r} for color {color!r} is not an integer")
         acc = {c: n for c, n in pairs.items() if n}
         object.__setattr__(self, "_map", acc)
 

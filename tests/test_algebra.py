@@ -422,6 +422,48 @@ class TestSequenceConsistency:
         assert verify_sequence_consistency(satsat_net, tampered) is False
 
 
+def moves_net(name, start, *moves):
+    """A guardless net over colors w, x, y, z: the k-th transition t{k+1}
+    moves the tokens of its (inputs, outputs) pair, each a {place: colors}
+    dict; `start` is the initial marking."""
+    places = sorted({p for inputs, outputs in moves for p in (*inputs, *outputs)} | set(start))
+    tids = [f"t{k}" for k in range(1, len(moves) + 1)]
+    arcs = [arc for t, (inputs, outputs) in zip(tids, moves)
+            for arc in [*(Arc(p, t, Multiset(c)) for p, c in inputs.items()),
+                        *(Arc(t, p, Multiset(c)) for p, c in outputs.items())]]
+    return Net(name, ("w", "x", "y", "z"), tuple(Place(p, 1) for p in places),
+               tuple(map(Transition, tids)), tuple(arcs), Marking(start))
+
+
+#: nets whose transitions form runs of the BFS token test
+#: (`CompiledNet.explore`): a run is the longest stretch of consecutive
+#: transitions that read the same input places, memoised on those places
+RUN_NETS = {
+    # t1 and t3 read P1 but form two runs, split by t2 on P2: the moves
+    # keep declaration order
+    "split_runs": moves_net("split_runs", {"P1": "xy", "P2": "z"},
+                            ({"P1": "x"}, {"P2": "x"}),
+                            ({"P2": "z"}, {"P1": "z"}),
+                            ({"P1": "xy"}, {"P2": "xy"}),
+                            ({"P2": "xy"}, {"P1": "xy"})),
+    # t1 reads P1 and P2, t2 only P1: P1 holds x both where t1 is enabled
+    # and where it is not
+    "two_inputs": moves_net("two_inputs", {"P1": "x", "P3": "y"},
+                            ({"P1": "x", "P2": "y"}, {"P3": "xy"}),
+                            ({"P1": "x"}, {"P2": "x"}),
+                            ({"P3": "y"}, {"P2": "y"})),
+    # P1 and P2 trade x and y in runs of two while w circles P3 and P4,
+    # so each place's contents recur across states
+    "recurring": moves_net("recurring", {"P1": "xy", "P3": "w"},
+                           ({"P1": "x"}, {"P2": "x"}),
+                           ({"P1": "xy"}, {"P2": "xy"}),
+                           ({"P2": "x"}, {"P1": "x"}),
+                           ({"P2": "xy"}, {"P1": "xy"}),
+                           ({"P3": "w"}, {"P4": "w"}),
+                           ({"P4": "w"}, {"P3": "w"})),
+}
+
+
 class TestReachabilityGraph:
     def test_swap_two_state_cycle(self, swap_net):
         graph = reachability_graph(swap_net, swap_net.initial_marking, {}, 3, 100)
@@ -467,6 +509,15 @@ class TestReachabilityGraph:
         net, env = case
         for mode, max_depth, max_states in itertools.product(MODES, range(5), range(1, 9)):
             assert_same_graph(net, net.initial_marking, env, max_depth, max_states, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", sorted(RUN_NETS))
+    def test_token_test_runs(self, name, mode):
+        # every state cap up to past the whole graph, so that some caps
+        # refuse a successor in the middle of a run's moves
+        net = RUN_NETS[name]
+        for max_depth, max_states in itertools.product((0, 1, 2, 3, 100), range(1, 18)):
+            assert_same_graph(net, net.initial_marking, {}, max_depth, max_states, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_marking_outside_the_net(self, swap_net, mode):
@@ -517,6 +568,51 @@ class TestReachabilityGraph:
             for node, depth in zip(graph.nodes, graph.depths):
                 witness = check_reachability_condition(net, net.initial_marking, node, depth)
                 assert witness is not None, f"{net.name}: no witness for {node}"
+
+
+def packed_at(view, m, size):
+    """`m` packed at `size` bytes a field, as `CompiledNet.pack` lays it out."""
+    return int.from_bytes(b"".join(n.to_bytes(size, "little") for n in view.encode(m)), "little")
+
+
+class TestDecodeFromParents:
+    """`CompiledNet.decode` reads each marking from the one that discovered
+    it, only at the places the discovering transition touches; that must
+    equal reading every place."""
+
+    @given(case=live_nets(), mode=st.sampled_from(MODES),
+           max_depth=st.integers(0, 4), max_states=st.integers(1, 30))
+    def test_bfs_graph(self, case, mode, max_depth, max_states):
+        # the reference BFS gives the nodes and edges, so that a faulty
+        # decoder cannot supply its own input
+        net, env = case
+        view = net.compiled
+        nodes, _, edges, _, _ = reference_graph(net, net.initial_marking, env, max_depth, max_states, mode)
+        size = view.pack(view.encode(net.initial_marking), min(max_depth, max_states))[1]
+        packed = [packed_at(view, m, size) for m in nodes]
+        first = {}
+        for edge in edges:
+            first.setdefault(edge[2], edge)
+        found = [first[j] for j in range(1, len(packed))]
+        assert view.decode(packed, size, found) == view.decode(packed, size) == list(nodes)
+
+    @given(case=live_nets(), mode=st.sampled_from(MODES), data=st.data())
+    def test_firing_chain(self, case, mode, data):
+        net, env = case
+        view = net.compiled
+        chain, fired = [net.initial_marking], []
+        for _ in range(data.draw(st.integers(0, 8))):
+            options = reference.enabled_set(net, chain[-1], env, mode)
+            if not options:
+                break
+            fired.append(data.draw(st.sampled_from(options)))
+            chain.append(reference.fire(net, chain[-1], fired[-1], env, mode))
+        size = view.pack(view.encode(net.initial_marking), len(fired))[1]
+        packed = [packed_at(view, m, size) for m in chain]
+        edges = [(k, t, k + 1) for k, t in enumerate(fired)]
+        assert view.decode(packed, size, edges) == view.decode(packed, size) == chain
+        trace = fire_sequence(net, net.initial_marking, fired, [env] * len(fired), mode)
+        assert [ev.marking_after for ev in trace.events] == chain[1:]
 
 
 def pump_net(start):

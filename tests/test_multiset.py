@@ -107,6 +107,15 @@ class TestSignedMultiset:
         assert str(SignedMultiset({"S": -1})) == "-S"
         assert str(SignedMultiset({"A": 2, "B": -1})) == "2A-B"
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, "2", None])
+    def test_non_integer_coefficient_rejected(self, n):
+        with pytest.raises(TypeError, match="coefficient .* for color 'x' is not an integer"):
+            SignedMultiset({"x": n})
+
+    def test_bool_counts_as_int(self):
+        assert SignedMultiset({"x": True, "y": False}) == SignedMultiset({"x": 1})
+        assert str(SignedMultiset({"x": True})) == "x"
+
     @given(a=signed_multisets, b=signed_multisets, c=signed_multisets)
     def test_commutative_group(self, a, b, c):
         zero = SignedMultiset()
