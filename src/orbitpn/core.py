@@ -36,8 +36,8 @@ class CompiledNet:
     declared ones and every color on an arc.  Per transition, in declaration order:
 
     * ``delta[k]``: the nonzero (slot, d) of the transition's incidence column;
-    * ``spans[k]``: (lo, hi, counts) per input arc, the arc's place slots and
-      the counts it calls there; empty when the transition has no input arc;
+    * ``spans[k]``: (lo, counts) per input arc, the counts it calls at its
+      place's slots from ``lo`` on; empty when the transition has no input arc;
     * ``touched[k]``: the indices of the places ``delta[k]`` changes;
     * ``guards[k]``: its guard, compiled by `guard` on first use.
 
@@ -73,7 +73,7 @@ class CompiledNet:
                 for color, n in called.items():
                     counts[column[color]] = n
                     delta[lo + column[color]] = -n
-                spans.append((lo, lo + width, tuple(counts)))
+                spans.append((lo, tuple(counts)))
             for place, deposited in net.outputs[t]:
                 for color, n in deposited.items():
                     slot = base[place] + column[color]
@@ -81,7 +81,7 @@ class CompiledNet:
             self.delta.append(tuple((s, d) for s, d in sorted(delta.items()) if d))
             self.spans.append(tuple(spans))
         self.touched = [sorted({slot // width for slot, _ in column}) for column in self.delta]
-        self.peak = max((n for spans in self.spans for _, _, counts in spans for n in counts), default=0)
+        self.peak = max((n for spans in self.spans for _, counts in spans for n in counts), default=0)
         self.rise = max((d for column in self.delta for _, d in column if d > 0), default=0)
 
     def encode(self, m: Marking) -> tuple[int, ...]:
@@ -147,59 +147,47 @@ class CompiledNet:
         return fn
 
     def token_tests(self, mode: str, size: int) -> list:
-        """Per transition, `enabled_moves` for it alone; built once per mode and
-        size.  Empty for a mode outside `MODES`, which callers refuse before
-        they fire."""
+        """`token_test` of every transition, in declaration order; built once
+        per mode and size.  Empty for a mode outside `MODES`, which callers
+        refuse before they fire."""
         if mode not in MODES:
             return []
         if (mode, size) not in self.tests:
-            self.tests[mode, size] = [self.enabled_moves([k], mode, size) for k in range(len(self.spans))]
+            self.tests[mode, size] = [self.token_test(k, mode, size) for k in range(len(self.spans))]
         return self.tests[mode, size]
 
-    def enabled_moves(self, live: Iterable[int], mode: str, size: int):
-        """The token test of the firing rule on markings packed at `size` bytes.
+    def token_test(self, k: int, mode: str, size: int) -> Callable[[int], tuple[str, int] | None]:
+        """The token test of the firing rule for the k-th transition, on
+        markings packed at `size` bytes.
 
-        Returns a function from a packed marking to the (transition id,
-        packed delta column) of each transition of `live` whose input places
-        hold what its arcs call, in the order of `live`; the marking plus the
-        column is the successor.  Guards are not evaluated here.  A
-        transition without input arcs is never enabled; every input place
-        holds a token; in subset mode each arc's call is within its place,
-        and in exact mode each place holds exactly what its arc calls.
-        `engine.enabling_failure` reads the same `spans` to name the failed
-        condition.  Subset mode sets every field's clear top bit and subtracts
-        the calls: a top bit stays set just where the count covers the call.
+        Returns a function from a packed marking to the move (transition id,
+        packed delta column) when the input places hold what the arcs call,
+        and to None otherwise; the marking plus the column is the successor.
+        The guard is not evaluated here.  A transition without input arcs is
+        never enabled; every input place holds a token; in subset mode each
+        arc's call is within its place, and in exact mode each place holds
+        exactly what its arc calls.  `engine.enabling_failure` reads the same
+        `spans` to name the failed condition.  Subset mode sets every field's
+        clear top bit and subtracts the calls: a top bit stays set just where
+        the count covers the call.
         """
-        bits, ids = 8 * size, self.transition_ids
+        spans = self.spans[k]
+        if not spans or mode == "exact" and not all(any(counts) for _, counts in spans):
+            # in exact mode an arc calling no tokens needs a token at its
+            # place, so it never matches exactly
+            return lambda m: None
+        bits = 8 * size
         place = (1 << bits * self.width) - 1  # the fields of the first place
-
-        def packed(pairs) -> int:
-            return sum(n << bits * slot for slot, n in pairs)
-
-        def calls(spans) -> int:
-            return packed((lo + j, n) for lo, _, counts in spans for j, n in enumerate(counts))
-
-        live = [(self.spans[k], (ids[k], packed(self.delta[k]))) for k in live if self.spans[k]]
+        move = (self.transition_ids[k], sum(d << bits * slot for slot, d in self.delta[k]))
+        calls = sum(n << bits * (lo + j) for lo, counts in spans for j, n in enumerate(counts))
         if mode == "exact":
-            # an arc calling no tokens needs a token at its place, so it
-            # never matches exactly: its transition is never enabled
-            exact = [(packed((lo, place) for lo, _, _ in spans), calls(spans), move)
-                     for spans, move in live if all(any(counts) for _, _, counts in spans)]
-
-            def moves(m):
-                return [move for span, counts, move in exact if m & span == counts]
-            return moves
-
+            span = sum(place << bits * lo for lo, _ in spans)
+            return lambda m: move if m & span == calls else None
         top = int.from_bytes((bytes(size - 1) + b"\x80") * self.width * len(self.place_ids), "little")
         # an arc calling no tokens still needs a token at its place
-        subset = [(calls(spans), move, [place << bits * lo for lo, _, counts in spans if not any(counts)])
-                  for spans, move in live]
-
-        def moves(m):
-            held = m | top
-            return [move for pre, move, occupied in subset
-                    if (held - pre) & top == top and (not occupied or all(m & p for p in occupied))]
-        return moves
+        occupied = [place << bits * lo for lo, counts in spans if not any(counts)]
+        return lambda m: move if ((m | top) - calls) & top == top and (
+            not occupied or all(m & p for p in occupied)) else None
 
     def explore(self, start: Marking, live: Sequence[int], mode: str,
                 max_depth: int, max_states: int):
@@ -211,16 +199,18 @@ class CompiledNet:
         computed is at most min(max_depth, max_states) firings from `start`.
 
         `live` is cut into maximal runs of consecutive transitions that read
-        the same input places.  A run's token test reads only those places'
-        fields (`mask`): no subset-mode borrow leaves its field, and the exact
-        spans lie within `mask`.  So its moves at `m` are memoised under
-        `m & mask`, for this call only.  Each node is decoded from the first
-        edge into it.
+        the same input places.  The `token_test` of each of a run's
+        transitions reads only those places' fields (`mask`): no subset-mode
+        borrow leaves its field, and the exact spans lie within `mask`.  So a
+        run's moves at `m` are memoised under `m & mask`.  The tests and the
+        memo are built for this call only: kept on the view, they would hold
+        memory past the call.  Each node is decoded from the first edge into
+        it.
         """
         m0, size = self.pack(self.encode(start), min(max_depth, max_states))
         place = (1 << 8 * size * self.width) - 1  # the fields of the first place
-        runs = groupby(live, lambda k: {lo for lo, _, _ in self.spans[k]})
-        tests = [(sum(place << 8 * size * lo for lo in reads), self.enabled_moves(run, mode, size), {})
+        runs = groupby(live, lambda k: {lo for lo, _ in self.spans[k]})
+        tests = [(sum(place << 8 * size * lo for lo in reads), [self.token_test(k, mode, size) for k in run], {})
                  for reads, run in runs]
         nodes: list[int] = [m0]
         depths: list[int] = [0]
@@ -232,12 +222,12 @@ class CompiledNet:
 
         for i, m in enumerate(nodes):  # nodes grows while it is walked
             options = []
-            for mask, test, memo in tests:
+            for mask, run, memo in tests:
                 key = m & mask
-                run = memo.get(key)
-                if run is None:
-                    run = memo[key] = test(key)
-                options += run
+                moves = memo.get(key)
+                if moves is None:
+                    moves = memo[key] = [move for test in run if (move := test(key))]
+                options += moves
             if not options:
                 deadlocks.append(i)
                 continue

@@ -15,9 +15,10 @@ Two containment readings of "the tokens can be called" are supported:
 Every bundled model behaves identically under both modes.
 
 All of it runs on the compiled net (`Net.compiled`): a marking is one packed
-int (`CompiledNet.pack`), the token test is `CompiledNet.enabled_moves`, a
-firing adds a packed incidence column and each guard is compiled to a Python
-function.  `enabling_failure` reads the slot tuple to say what failed.
+int (`CompiledNet.pack`), each transition's token test is built once per
+mode and field size (`CompiledNet.token_tests`), a firing adds a packed
+incidence column and each guard is compiled to a Python function.
+`enabling_failure` reads the slot tuple to say what failed.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     spans = view.spans[k]
     if not spans:
         return "no input arcs (source transitions are never enabled)"
-    for (place, called), (lo, hi, counts) in zip(net.inputs[t], spans):
-        held = vec[lo:hi]
+    for (place, called), (lo, counts) in zip(net.inputs[t], spans):
+        held = vec[lo:lo + view.width]
         if not any(held):
             return f"input place {place!r} is empty"
         if mode == "subset":
@@ -122,7 +123,8 @@ def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") ->
     view = net.compiled
     live = [k for k in range(len(net.transitions)) if view.guard(k)(env)]
     packed, size = view.pack(view.encode(m))
-    return [t for t, _ in view.enabled_moves(live, mode, size)(packed)]
+    tests = view.token_tests(mode, size)
+    return [view.transition_ids[k] for k in live if tests[k](packed)]
 
 
 def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
@@ -149,16 +151,14 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
         move = k is not None and view.guard(k)(env) and tests[k](m)
         if not move:
             break
-        m += move[0][1]
+        m += move[1]
         packed.append(m)
-    after = view.decode(packed, size, ((k, t, k + 1) for k, t in enumerate(seq)))[1:]
-    events = tuple(FiringEvent(k, t, dict(env), marking) for k, (t, env, marking)
-                   in enumerate(zip(seq, envs, after), start=1))
-    trace = Trace(net.name, m0, events)
-    if len(events) < len(seq):
-        t, env = seq[len(events)], envs[len(events)]
+    trace = _chain(net, m0, packed, size, seq, envs)
+    done = len(trace.events)
+    if done < len(seq):
+        t, env = seq[done], envs[done]
         failure = enabling_failure(net, trace.final, t, env, mode)
-        raise NotEnabledError(t, failure, step=len(events) + 1, trace=trace)
+        raise NotEnabledError(t, failure, step=done + 1, trace=trace)
     return trace
 
 
@@ -193,7 +193,7 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
         for k, test in enumerate(tests):
             move = view.guard(k)(env) and test(m)
             if move:
-                t, delta = move[0]
+                t, delta = move
                 m += delta
                 fired.append(t)
                 packed.append(m)
@@ -202,7 +202,14 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
                     break
         if not fired_any:
             break
-    after = view.decode(packed, size, ((k, t, k + 1) for k, t in enumerate(fired)))[1:]
-    events = tuple(FiringEvent(k, t, dict(env), marking) for k, (t, marking)
-                   in enumerate(zip(fired, after), start=1))
-    return Trace(net.name, m0, events)
+    return _chain(net, m0, packed, size, fired, [env] * len(fired))
+
+
+def _chain(net: Net, m0: Marking, packed: list[int], size: int, fired: Sequence[str],
+           envs: Sequence[Environment]) -> Trace:
+    """The trace from `m0` along `packed`, m0 first at `size` bytes a field:
+    the k-th of `fired`, under the k-th of `envs`, made the marking after the
+    k-th, which is decoded from the one before it."""
+    after = net.compiled.decode(packed, size, ((k, t, k + 1) for k, t in enumerate(fired)))[1:]
+    return Trace(net.name, m0, (FiringEvent(k, t, dict(env), marking) for k, (t, env, marking)
+                                in enumerate(zip(fired, envs, after), start=1)))

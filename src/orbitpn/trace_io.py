@@ -77,7 +77,7 @@ def _env_field(record: dict, step: int) -> dict[str, float]:
     for name, value in _field(record, "env", step, dict).items():
         try:
             env[name] = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int past float range overflows
             raise ReplayError(f"step {step}: 'env': {name!r} is {value!r}, not a number") from None
     return env
 
@@ -198,7 +198,7 @@ def replay(net: Net, doc: dict) -> Marking:
         if not move:
             reason = enabling_failure(net, view.decode([m], size)[0], t, env, mode)
             raise ReplayError(f"step {step}: transition {t!r} not enabled: {reason}")
-        m += move[0][1]
+        m += move[1]
         if m != after:
             raise ReplayError(f"step {step}: replay produced {view.decode([m], size)[0]}, "
                               f"document records {_marking(entries, parse, '')}")  # read once: no fault

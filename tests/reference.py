@@ -379,7 +379,7 @@ def _env_field(record: dict, step: int) -> dict[str, float]:
     for name, value in _field(record, "env", step, dict).items():
         try:
             env[name] = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ReplayError(f"step {step}: 'env': {name!r} is {value!r}, not a number") from None
     return env
 

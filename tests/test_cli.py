@@ -445,6 +445,8 @@ class TestTraceDocuments:
          "document: 'final': place 'P2' holds 1.5, not a weight expression"),
         (lambda doc: doc["events"][0]["env"].update(clock="zz"),
          "step 1: 'env': 'clock' is 'zz', not a number"),
+        (lambda doc: doc["events"][0]["env"].update(clock=json.loads("1" + "0" * 400)),
+         f"step 1: 'env': 'clock' is 1{'0' * 400}, not a number"),
         (lambda doc: doc["events"].append(7), "step 3: event is not a JSON object"),
         (lambda doc: doc["events"][1].update(transition=["t2"]),
          "step 2: 'transition' is not a JSON string"),
@@ -462,7 +464,8 @@ class TestTraceDocuments:
     ], ids=["initial", "events", "final", "net", "env", "marking", "transition",
             "unknown-transition", "other-net", "undeclared-color", "not-enabled",
             "marking-string", "initial-list", "env-string", "env-list", "events-number",
-            "marking-value-number", "final-value-number", "env-value-string", "event-number",
+            "marking-value-number", "final-value-number", "env-value-string", "env-value-huge",
+            "event-number",
             "transition-list", "mode-string", "mode-list", "env-unbound", "outside-added",
             "outside-changed"])
     def test_bad_document_replay_error(self, capsys, tmp_path, damage, message):

@@ -21,8 +21,10 @@ import reference
 from reference import guard_variables
 from strategies import live_nets, replace_net, rising_starts
 
+# integers past float range too, which float() refuses with an OverflowError
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    st.none() | st.booleans() | st.integers() | st.integers(2 ** 1024, 2 ** 1030)
+    | st.floats(allow_nan=False) | st.text(max_size=3),
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
     max_leaves=4,
 )
