@@ -118,11 +118,10 @@ def cmd_fire(args) -> int:
         trace = engine.fire_sequence(net, net.initial_marking, seq, envs, args.mode)
     except engine.NotEnabledError as err:
         print(f"error: {err}", file=sys.stderr)
-        if err.trace is not None:
-            _write_trace(net, err.trace, args.mode, args.out, final_env=envs[err.step - 1])
-            print(f"prefix trace ({len(err.trace.events)} event(s)):")
-            _print_events(err.trace)
-            print(f"marking before failure: {err.trace.final}")
+        _write_trace(net, err.trace, args.mode, args.out, final_env=envs[err.step - 1])
+        print(f"prefix trace ({len(err.trace.events)} event(s)):")
+        _print_events(err.trace)
+        print(f"marking before failure: {err.trace.final}")
         return EXIT_SEMANTIC
     _write_trace(net, trace, args.mode, args.out, final_env=envs[-1] if envs else base)
     _print_events(trace)

@@ -20,7 +20,9 @@ only then: most `opn` runs never need it and do not pay to load it.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain, groupby, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .expr import compile_guard
@@ -29,20 +31,25 @@ from .multiset import Multiset
 
 
 class CompiledNet:
-    """A net unfolded over integer (place, color) slots.
+    """A net unfolded over integer (place, color) slots: the one table of its
+    arcs (`net.arcs`) per transition.
 
     Slot ``offset[p] + j`` counts ``colors[j]`` at place ``p``; the i-th
     declared place has offset ``i * width``.  The colors, sorted, are the
-    declared ones and every color on an arc.  Per transition, in declaration order:
+    declared ones and every color on an arc; ``width`` is their number (1 if none).
+    An arc is an input of a transition target with a declared place source,
+    and an output of a transition source with a declared place target.  Per
+    transition, in declaration order:
 
     * ``delta[k]``: the nonzero (slot, d) of the transition's incidence column;
-    * ``spans[k]``: (lo, counts) per input arc, the counts it calls at its
-      place's slots from ``lo`` on; empty when the transition has no input arc;
+    * ``spans[k]``: (lo, counts) per input arc, sorted by place id: the counts
+      it calls at its place's slots from ``lo`` on;
     * ``touched[k]``: the indices of the places ``delta[k]`` changes;
     * ``guards[k]``: its guard, compiled by `guard` on first use.
 
     ``peak`` is the largest count an arc calls, ``rise`` the largest positive
-    incidence entry (or 0).
+    incidence entry (or 0).  A place declared twice, or two input (then
+    output) arcs with the same ends, is the ValueError `validate_net` reports.
 
     The view holds the net's ids but not the net, so caching it on the `Net`
     makes no reference cycle.
@@ -61,23 +68,32 @@ class CompiledNet:
         self.guards: list[Callable[[Environment], bool] | None] = [None] * len(self.guard_exprs)
         self.tests: dict[tuple[str, int], list] = {}
         self.colors = tuple(sorted(colors))
-        self.width = width = len(self.colors)
+        self.width = width = len(self.colors) or 1  # a slot per place at least
         self.column = column = {c: j for j, c in enumerate(self.colors)}
-        self.offset = base = {p: i * width for i, p in enumerate(net.place_ids)}
+        self.offset = base = {}
+        for i, p in enumerate(net.place_ids):
+            if base.setdefault(p, i * width) != i * width:
+                raise ValueError(f"place {p!r}: duplicate id")
+        arcs = {t: ({}, {}) for t in net.transition_ids}  # (calls, deposits) by place
+        for side, ends in enumerate((attrgetter("target", "source"), attrgetter("source", "target"))):
+            for arc in net.arcs:
+                t, place = ends(arc)
+                if t in arcs and place in base:
+                    if place in arcs[t][side]:
+                        raise ValueError(f"arc {arc.source}->{arc.target}: duplicate arc")
+                    arcs[t][side][place] = arc.weight
         self.delta, self.spans = [], []
-        for t in net.transition_ids:
-            spans, delta = [], {}
-            for place, called in net.inputs[t]:
-                lo = base[place]
+        for calls, deposits in (arcs[t] for t in net.transition_ids):
+            spans, delta = [], defaultdict(int)
+            for place, called in sorted(calls.items()):
                 counts = [0] * width
                 for color, n in called.items():
                     counts[column[color]] = n
-                    delta[lo + column[color]] = -n
-                spans.append((lo, tuple(counts)))
-            for place, deposited in net.outputs[t]:
+                    delta[base[place] + column[color]] -= n
+                spans.append((base[place], tuple(counts)))
+            for place, deposited in deposits.items():
                 for color, n in deposited.items():
-                    slot = base[place] + column[color]
-                    delta[slot] = delta.get(slot, 0) + n
+                    delta[base[place] + column[color]] += n
             self.delta.append(tuple((s, d) for s, d in sorted(delta.items()) if d))
             self.spans.append(tuple(spans))
         self.touched = [sorted({slot // width for slot, _ in column}) for column in self.delta]

@@ -18,16 +18,16 @@ All of it runs on the compiled net (`Net.compiled`): a marking is one packed
 int (`CompiledNet.pack`), each transition's token test is built once per
 mode and field size (`CompiledNet.token_tests`), a firing adds a packed
 incidence column and each guard is compiled to a Python function.
-`enabling_failure` reads the slot tuple to say what failed.
+`enabling_failure` reads the same view to say what failed.
 """
 
 from __future__ import annotations
 
-from operator import index
+from operator import ge, index
 from typing import Sequence
 
 from .model import MODES, Environment, Marking, Net
-from .multiset import Record
+from .multiset import Multiset, Record
 
 
 class NotEnabledError(RuntimeError):
@@ -72,8 +72,8 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
 
     The guard is always evaluated, even when token calling already fails, so
     an unbound environment variable surfaces as an error rather than being
-    masked by a structural refusal.  The token test reads the input arcs'
-    slot ranges of the compiled net (`CompiledNet.spans`).
+    masked by a structural refusal.  The first input arc (`CompiledNet.spans`,
+    by place id) that fails is named by its place and calls, read off the view.
     """
     _check_mode(mode)
     k = net.transition_index[net.transition(t).id]  # KeyError names an unknown t
@@ -83,15 +83,16 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     spans = view.spans[k]
     if not spans:
         return "no input arcs (source transitions are never enabled)"
-    for (place, called), (lo, counts) in zip(net.inputs[t], spans):
+    for lo, counts in spans:
         held = vec[lo:lo + view.width]
+        if any(held) and (held == counts if mode == "exact" else all(map(ge, held, counts))):
+            continue
+        place = view.place_ids[lo // view.width]
         if not any(held):
             return f"input place {place!r} is empty"
-        if mode == "subset":
-            if any(h < n for h, n in zip(held, counts)):
-                return f"token calling unsatisfied at {place!r}: arc calls {called}, place holds {m[place]}"
-        elif held != counts:
-            return f"exact-mode mismatch at {place!r}: arc calls {called}, place holds {m[place]}"
+        called = Multiset(dict(zip(view.colors, counts)))
+        what = "token calling unsatisfied" if mode == "subset" else "exact-mode mismatch"
+        return f"{what} at {place!r}: arc calls {called}, place holds {m[place]}"
     if not guard_ok:
         return "guard is false"
     return None

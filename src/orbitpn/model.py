@@ -9,14 +9,14 @@ firing policy, so `Net` stores them as ordered tuples.
 Nets are immutable after construction and safe to share between concurrent
 analyses; `Marking` is a value type (operations return new markings).
 Structural rules are checked by `validate_net`, which reports violations
-instead of raising, so partially-built nets can be diagnosed.
+instead of raising, so partially-built nets can be diagnosed.  A `Net` is
+plain data; its arcs are grouped per transition only in `Net.compiled`.
 """
 
 from __future__ import annotations
 
 import re
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .expr import TRUE
@@ -55,7 +55,8 @@ class Marking(FrozenMap):
 
     def __init__(self, assignment: Mapping[str, Multiset | Mapping[str, int] | Iterable[str]] = ()):
         acc: dict[str, Multiset] = {}
-        for place, tokens in dict(assignment).items():
+        pairs = assignment._map if isinstance(assignment, Marking) else dict(assignment)
+        for place, tokens in pairs.items():
             ms = tokens if isinstance(tokens, Multiset) else Multiset(tokens)
             if ms:
                 acc[place] = ms
@@ -85,6 +86,8 @@ class Marking(FrozenMap):
 
 
 class Net(Record):
+    """The net as declared; `compiled` is the one view of its arcs per transition."""
+
     __match_args__ = ("name", "colors", "places", "transitions", "arcs", "initial_marking")
     __slots__ = __match_args__ + ("__dict__",)  # the cached properties live in __dict__
     _defaults = {"initial_marking": Marking()}
@@ -108,16 +111,6 @@ class Net(Record):
         return tuple(t.id for t in self.transitions)
 
     @cached_property
-    def place_index(self) -> dict[str, int]:
-        """Declaration index per place id; a duplicate id is a ValueError,
-        with the text `validate_net` reports for it."""
-        index: dict[str, int] = {}
-        for i, p in enumerate(self.places):
-            if index.setdefault(p.id, i) != i:
-                raise ValueError(f"place {p.id!r}: duplicate id")
-        return index
-
-    @cached_property
     def transition_index(self) -> dict[str, int]:
         return {t.id: i for i, t in enumerate(self.transitions)}
 
@@ -128,35 +121,9 @@ class Net(Record):
             raise KeyError(f"unknown transition {tid!r}") from None
 
     @cached_property
-    def inputs(self) -> dict[str, tuple[tuple[str, Multiset], ...]]:
-        """Per transition: (input place, called tokens), sorted by place."""
-        return self._arcs_by_transition(lambda arc: (arc.target, arc.source))
-
-    @cached_property
-    def outputs(self) -> dict[str, tuple[tuple[str, Multiset], ...]]:
-        """Per transition: (output place, deposited tokens), sorted by place."""
-        return self._arcs_by_transition(lambda arc: (arc.source, arc.target))
-
-    def _arcs_by_transition(self, ends) -> dict[str, tuple[tuple[str, Multiset], ...]]:
-        """(place, weight) per transition over the arcs whose `ends` are
-        (transition, place); two such arcs with the same ends are a ValueError,
-        with the text `validate_net` reports for them."""
-        acc: dict[str, list[tuple[str, Multiset]]] = {t.id: [] for t in self.transitions}
-        for arc in self.arcs:
-            t, place = ends(arc)
-            if t in acc and place in self.place_index:
-                if any(p == place for p, _ in acc[t]):
-                    raise ValueError(f"arc {arc.source}->{arc.target}: duplicate arc")
-                acc[t].append((place, arc.weight))
-        return {t: tuple(sorted(pairs, key=itemgetter(0))) for t, pairs in acc.items()}
-
-    @cached_property
     def compiled(self):
-        """The net over integer (place, color) slots (`core.CompiledNet`).
-
-        Built on first use, not at load time; `core` is imported only then,
-        so runs that never need it do not pay to load it.
-        """
+        """The net over integer (place, color) slots (`core.CompiledNet`), built
+        on first use: runs that never need it do not pay to load `core`."""
         from .core import CompiledNet
         return CompiledNet(self)
 

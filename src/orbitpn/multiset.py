@@ -25,8 +25,10 @@ class FrozenMap:
 
     __slots__ = ("_map",)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
     def items(self) -> tuple:
         """(key, value) pairs sorted by key."""

@@ -143,6 +143,22 @@ def tally(value: Multiset | Marking) -> int:
     return sum(n for _, n in value.items())
 
 
+def arcs_by_transition(net: Net) -> tuple[dict, dict]:
+    """(inputs, outputs): per transition id, (place, weight) of each arc from
+    a declared place into it, and of each arc from it into a declared place,
+    sorted by place; read from `net.arcs`, not from the compiled net."""
+    places = set(net.place_ids)
+    inputs = {t: [] for t in net.transition_ids}
+    outputs = {t: [] for t in net.transition_ids}
+    for arc in net.arcs:
+        if arc.target in inputs and arc.source in places:
+            inputs[arc.target].append((arc.source, arc.weight))
+        if arc.source in outputs and arc.target in places:
+            outputs[arc.source].append((arc.target, arc.weight))
+    return tuple({t: sorted(pairs, key=operator.itemgetter(0)) for t, pairs in side.items()}
+                 for side in (inputs, outputs))
+
+
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"unknown containment mode {mode!r}; expected one of {MODES}")
@@ -158,7 +174,7 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     """
     _check_mode(mode)
     guard_ok = eval_guard(net.transition(t).guard, env)
-    inputs = net.inputs[t]
+    inputs = arcs_by_transition(net)[0][t]
     if not inputs:
         return "no input arcs (source transitions are never enabled)"
     for place, called in inputs:
@@ -186,9 +202,10 @@ def fire(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset") -
     if failure is not None:
         raise NotEnabledError(t, failure)
     assignment = dict(m.items())
-    for place, called in net.inputs[t]:
+    inputs, outputs = arcs_by_transition(net)
+    for place, called in inputs[t]:
         assignment[place] = difference(assignment[place], called)
-    for place, deposited in net.outputs[t]:
+    for place, deposited in outputs[t]:
         assignment[place] = assignment.get(place, Multiset()) + deposited
     return Marking(assignment)
 
@@ -200,12 +217,13 @@ def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") ->
 
 def incidence_entries(net: Net) -> tuple[tuple[SignedMultiset, ...], ...]:
     """Entry (p, t) = output weight w(t->p) minus input weight w(p->t), from
-    the arcs (`net.inputs`, `net.outputs`); rows are places."""
+    the arcs (`arcs_by_transition`); rows are places."""
     deposited, called = {}, {}
+    inputs, outputs = arcs_by_transition(net)
     for t in net.transition_ids:
-        for place, w in net.outputs[t]:
+        for place, w in outputs[t]:
             deposited[(place, t)] = SignedMultiset(w)
-        for place, w in net.inputs[t]:
+        for place, w in inputs[t]:
             called[(place, t)] = SignedMultiset({c: -n for c, n in w.items()})
     zero = SignedMultiset()
     return tuple(

@@ -20,7 +20,7 @@ from orbitpn import (
     TrueLiteral,
     VarRef,
 )
-from reference import guard_variables
+from reference import arcs_by_transition, guard_variables
 
 RESERVED = {"true", "and", "or", "not"}
 
@@ -135,9 +135,9 @@ def live_nets(draw):
         if a.target in net.transition_index and draw(st.integers(0, 3)) == 0
         else Arc(a.source, a.target, scaled(a.weight))
         for a in net.arcs))
-    marking = {}
+    marking, inputs = {}, arcs_by_transition(net)[0].values()
     for pid in net.place_ids:
-        called = [w for t in net.transition_ids for p, w in net.inputs[t] if p == pid]
+        called = [w for arcs in inputs for p, w in arcs if p == pid]
         held = scaled(net.initial_marking[pid])
         if called:
             held = draw(st.sampled_from(called)) + draw(st.sampled_from((Multiset(), held)))
@@ -159,9 +159,10 @@ def rising_starts(draw, net, firings):
         return net
     edge = 2 ** draw(st.sampled_from((7, 15, 23))) - draw(st.integers(1, firings))
     marking = dict(net.initial_marking.items())
+    inputs, outputs = arcs_by_transition(net)
     for t in net.transition_ids:
-        called = dict(net.inputs[t])
-        for place, deposited in net.outputs[t]:
+        called = dict(inputs[t])
+        for place, deposited in outputs[t]:
             for color, n in deposited.items():
                 if n > called.get(place, Multiset()).count(color):
                     held = marking.get(place, Multiset())

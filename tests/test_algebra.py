@@ -44,10 +44,11 @@ def brute_force_solutions(net, m0, md, bound):
     """Independent witness oracle: plain dict arithmetic over all count vectors."""
     called = {}
     deposited = {}
+    inputs, outputs = reference.arcs_by_transition(net)
     for t in net.transition_ids:
-        for p, w in net.inputs[t]:
+        for p, w in inputs[t]:
             called[(p, t)] = dict(w.items())
-        for p, w in net.outputs[t]:
+        for p, w in outputs[t]:
             deposited[(p, t)] = dict(w.items())
 
     def delta_for(x):
@@ -318,6 +319,14 @@ class TestReachabilityCondition:
         assert brute_force_solutions(debris_net, debris_net.initial_marking,
                                      target, 6) == [(1, 1, 1)]
 
+    def test_count_no_firing_changes_has_no_witness(self, debris_net):
+        # no transition changes (P1, D), so no bound gives a witness
+        target = Marking({"P1": ["S", "D"]})
+        for bound in range(7):
+            assert check_reachability_condition(debris_net, debris_net.initial_marking,
+                                                target, bound) is None
+        assert brute_force_solutions(debris_net, debris_net.initial_marking, target, 6) == []
+
     def test_unreachable_two_tokens_in_one_orbit(self, swap_net):
         target = Marking({"P1": ["x", "y"]})
         assert check_reachability_condition(swap_net, swap_net.initial_marking,
@@ -410,6 +419,14 @@ class TestSequenceConsistency:
         )
         with pytest.raises(KeyError):
             verify_sequence_consistency(swap_net, bogus)
+
+    def test_counts_infeasible_from_the_initial_marking(self, swap_net):
+        # t2 calls y from P1, which holds only x: the state equation goes negative
+        bogus = Trace(swap_net.name, swap_net.initial_marking,
+                      (FiringEvent(1, "t2", {}, Marking({"P1": ["x"], "P2": ["y"]})),))
+        with pytest.raises(InfeasibleMarkingError):
+            apply_state_equation(swap_net, bogus.initial, firing_counts(swap_net, bogus))
+        assert verify_sequence_consistency(swap_net, bogus) is False
 
     def test_tampered_final_detected(self, satsat_net, satsat_envs):
         trace = fire_sequence(satsat_net, satsat_net.initial_marking, ["t1", "t2"], satsat_envs)

@@ -122,8 +122,9 @@ class TestFire:
             return
         t = data.draw(st.sampled_from(options))
         after = fire(net, m, t, {})
-        removed = sum(reference.tally(w) for _, w in net.inputs[t])
-        added = sum(reference.tally(w) for _, w in net.outputs[t])
+        inputs, outputs = reference.arcs_by_transition(net)
+        removed = sum(reference.tally(w) for _, w in inputs[t])
+        added = sum(reference.tally(w) for _, w in outputs[t])
         assert reference.tally(after) - reference.tally(m) == added - removed
 
     @given(net=nets())
@@ -402,6 +403,15 @@ class TestMergedPathsAgree:
             for t in net.transition_ids:
                 assert outcome(enabling_failure, net, m, t, {}, mode) == refused
                 assert outcome(fire, net, m, t, {}, mode) == refused
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_net_without_colors(self, mode):
+        # no place can hold a token, so the first input place by id is named
+        # empty: each place keeps a slot range of its own
+        net = Net("colorless", (), (Place("P1", 1), Place("P2", -1)), (Transition("t1"),),
+                  (Arc("P2", "t1", Multiset()), Arc("P1", "t1", Multiset()), Arc("t1", "P2", Multiset())))
+        assert enabling_failure(net, Marking(), "t1", {}, mode) == "input place 'P1' is empty"
+        assert_one_step_agrees(net, Marking(), "t1", {}, mode)
 
     def test_unknown_mode_matches_chained_fire(self, swap_net):
         # the mode is checked when the first firing is tried, not before,

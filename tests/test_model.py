@@ -24,8 +24,8 @@ from orbitpn import (
     simulate,
     validate_net,
 )
-from reference import dataclass_twin, tally
-from strategies import guards, live_nets, nets
+from reference import arcs_by_transition, dataclass_twin, tally
+from strategies import guards, live_nets, nets, replace_net
 
 
 def one_shot_swap():
@@ -107,6 +107,22 @@ class TestValidateNet:
         assert "rotation" in messages
         assert "not a legal identifier" in messages
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"places": (Place("P1", 1), Place("1P", -1))}, "place '1P': not a legal identifier"),
+        ({"transitions": (Transition("t-1"), Transition("t1"))}, "transition 't-1': not a legal identifier"),
+        ({"transitions": (Transition("t1"), Transition("t1"))}, "transition 't1': duplicate id"),
+        ({"arcs": (Arc("P1", "t1", Multiset(["x"])), Arc("P1", "t9", Multiset(["x"])))},
+         "arc P1->t9: unknown target 't9'"),
+        ({"arcs": (Arc("P1", "t1", Multiset(["x", "z"])),)}, "arc P1->t1: weight uses undeclared color 'z'"),
+        ({"initial_marking": Marking({"P1": ["x"], "P9": ["x"]})}, "marking: unknown place 'P9'"),
+    ], ids=["place-id", "transition-id", "duplicate-transition", "arc-target", "weight-color",
+            "marking-place"])
+    def test_single_violation_text(self, changes, message):
+        base = Net("one", ("x",), (Place("P1", 1),), (Transition("t1"),),
+                   (Arc("P1", "t1", Multiset(["x"])),), Marking({"P1": ["x"]}))
+        assert validate_net(base) == []
+        assert validate_net(replace_net(base, **changes)) == [message]
+
     def test_duplicate_and_empty_arcs(self):
         net = Net(
             name="bad",
@@ -123,19 +139,22 @@ class TestValidateNet:
         assert "duplicate arc" in messages
         assert "weight expression is empty" in messages
 
-    @pytest.mark.parametrize("arcs, label, side", [
-        ((Arc("P1", "t1", Multiset(["x"])), Arc("P1", "t1", Multiset(["y"]))),
-         "arc P1->t1", "inputs"),
+    @pytest.mark.parametrize("arcs, label", [
+        ((Arc("P1", "t1", Multiset(["x"])), Arc("P1", "t1", Multiset(["y"]))), "arc P1->t1"),
         ((Arc("P1", "t1", Multiset(["x"])), Arc("t1", "P1", Multiset(["x"])),
-          Arc("t1", "P1", Multiset(["x"]))), "arc t1->P1", "outputs"),
-    ], ids=["inputs-differ", "outputs-equal"])
-    def test_duplicate_arc_is_a_value_error_in_use(self, arcs, label, side):
+          Arc("t1", "P1", Multiset(["x"]))), "arc t1->P1"),
+        # one weight object for both, as the net-file reader gives a repeated weight text
+        ((Arc("P1", "t1", Multiset(["x"])),) * 2, "arc P1->t1"),
+        # every input arc is checked before any output arc
+        ((Arc("t1", "P1", Multiset(["x"])),) * 2 + (Arc("P1", "t1", Multiset(["x"])),) * 2, "arc P1->t1"),
+    ], ids=["inputs-differ", "outputs-equal", "inputs-one-weight", "inputs-first"])
+    def test_duplicate_arc_is_a_value_error_in_use(self, arcs, label):
         # analyses of an unvalidated net report the arc that validate_net reports
         net = Net("dup", ("x", "y"), (Place("P1", 1),), (Transition("t1"),), arcs,
                   Marking({"P1": ["x", "y"]}))
         assert f"{label}: duplicate arc" in validate_net(net)
-        for use in (lambda: getattr(net, side), lambda: incidence_matrix(net),
-                    lambda: net.compiled, lambda: fire(net, net.initial_marking, "t1", {})):
+        for use in (lambda: net.compiled, lambda: incidence_matrix(net),
+                    lambda: fire(net, net.initial_marking, "t1", {})):
             with pytest.raises(ValueError, match=f"^{label}: duplicate arc$"):
                 use()
 
@@ -149,7 +168,7 @@ class TestValidateNet:
         m = net.initial_marking
         for use in (lambda: apply_state_equation(net, m, (1,)), lambda: incidence_matrix(net),
                     lambda: enabled_set(net, m, {}), lambda: reachability_graph(net, m, {}, 2, 10),
-                    lambda: net.place_index):
+                    lambda: net.compiled):
             with pytest.raises(ValueError, match="^place 'P1': duplicate id$"):
                 use()
 
@@ -186,6 +205,22 @@ class TestMarking:
         assert m != Multiset(["x"]) and Marking() != Multiset()
         with pytest.raises(AttributeError, match="Marking is immutable"):
             m._map = {}
+        for name in ("_map", "places"):
+            with pytest.raises(AttributeError, match="^Marking is immutable$"):
+                delattr(m, name)
+        assert m == Marking({"P1": ["x", "x"], "P2": ["y"]}) and list(m) == ["P1", "P2"]
+
+    @pytest.mark.parametrize("assignment", [
+        {}, {"P1": "x", "Q7": ["y", "y"]}, {"P": ["x"]}, {"A": "x", "B": ["y", "z"], "C": []},
+        {"P10": Multiset({"x": 3})}])
+    def test_built_from_a_marking_keeps_it(self, assignment):
+        m = Marking(assignment)
+        assert Marking(m) == m
+
+    def test_iterates_over_occupied_places_sorted(self):
+        m = Marking({"Q": ["x"], "P2": [], "P10": ["y"], "P": ["x", "x"]})
+        assert list(m) == ["P", "P10", "Q"] == list(m.places())
+        assert list(Marking()) == []
 
 
 def round_trips(x):
@@ -261,9 +296,9 @@ class TestDeclarationOrderCanonical:
                         shuffled, net.initial_marking)
         assert validate_net(reordered) == validate_net(net)
         assert incidence_matrix(reordered) == incidence_matrix(net)
-        for t in net.transition_ids:
-            assert net.inputs[t] == reordered.inputs[t]
-            assert net.outputs[t] == reordered.outputs[t]
+        assert arcs_by_transition(reordered) == arcs_by_transition(net)
+        assert reordered.compiled.spans == net.compiled.spans
+        assert reordered.compiled.delta == net.compiled.delta
 
     def test_fire_unaffected_by_arc_order(self, satsat_net, satsat_envs):
         reordered = Net(

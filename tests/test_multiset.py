@@ -72,6 +72,15 @@ class TestMultiset:
         m = Multiset({"x": 1})
         with pytest.raises(AttributeError):
             m._counts = {}
+        for name in ("_map", "_text", "_counts"):
+            with pytest.raises(AttributeError, match="^Multiset is immutable$"):
+                delattr(m, name)
+        assert m == Multiset(["x"]) and str(m) == "x"
+
+    def test_color_membership(self):
+        m = Multiset({"x": 2, "yz": 1})
+        assert "x" in m and "yz" in m
+        assert "y" not in m and "z" not in m and "xy" not in Multiset()
 
 
 class TestTypeStrictness:
@@ -151,7 +160,10 @@ class TestCanonicalText:
                 value._text = "changed"
             with pytest.raises(AttributeError):
                 value._map = {}
-            assert str(value) == want
+            for name in ("_text", "_map"):
+                with pytest.raises(AttributeError, match="is immutable$"):
+                    delattr(value, name)
+            assert str(value) == want and value == type(value)(terms)
             # sums built from ones whose text is kept get their own text
             str(other)
             total = SignedMultiset(value) + other

@@ -40,8 +40,8 @@ def documents(draw):
     net, env = draw(live_nets())
     if draw(st.booleans()):
         marking = dict(net.initial_marking.items())
-        for t in net.transition_ids:
-            for place, called in net.inputs[t]:
+        for inputs in reference.arcs_by_transition(net)[0].values():
+            for place, called in inputs:
                 marking[place] = marking.get(place, Multiset()) + called
         net = replace_net(net, initial_marking=Marking(marking), transitions=tuple(
             Transition(t.id, functools.reduce(AndExpr, (
