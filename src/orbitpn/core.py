@@ -9,7 +9,10 @@ compare and add plain integers instead of formal sums.
 The firing kernel packs the vector into one int, whole bytes per slot, as
 explicit-state model checkers pack a state into one word (Holzmann, IEEE
 TSE 23(5), 1997): a token test is one subtraction and a firing one addition.
-Each call sizes the fields from the firings it can make (`pack`).  As in
+The fields are sized from the marking (`pack`): when no firing adds tokens,
+as in every bundled model, by at most its token total.  So the search and
+the firing loops share one size and one list of token tests, unless the
+marking's largest count and its total need different widths.  As in
 explicit-state generators (K. Wolf, ICATPN 2007), work is local: the BFS
 memoises a token test on its input places' fields, and a marking is decoded
 from the one it was fired from, at the places the firing touched.
@@ -48,15 +51,19 @@ class CompiledNet:
     * ``guards[k]``: its guard, compiled by `guard` on first use.
 
     ``peak`` is the largest count an arc calls, ``rise`` the largest positive
-    incidence entry (or 0).  A place declared twice, or two input (then
-    output) arcs with the same ends, is the ValueError `validate_net` reports.
+    incidence entry (or 0).  ``conserves`` is whether no column adds tokens
+    (each sums to <= 0: yA <= 0 for y = 1, Murata 1989, section V), so no
+    count ever exceeds a marking's token total.  A place declared twice, or
+    two input (then output) arcs with the same ends, is the ValueError
+    `validate_net` reports.
 
     The view holds the net's ids but not the net, so caching it on the `Net`
     makes no reference cycle.
     """
 
     __slots__ = ("place_ids", "transition_ids", "colors", "column", "width", "offset",
-                 "delta", "spans", "touched", "guard_exprs", "guards", "tests", "peak", "rise")
+                 "delta", "spans", "touched", "guard_exprs", "guards", "tests", "peak", "rise",
+                 "conserves")
 
     def __init__(self, net: Net):
         colors = set(net.colors)
@@ -99,6 +106,7 @@ class CompiledNet:
         self.touched = [sorted({slot // width for slot, _ in column}) for column in self.delta]
         self.peak = max((n for spans in self.spans for _, counts in spans for n in counts), default=0)
         self.rise = max((d for column in self.delta for _, d in column if d > 0), default=0)
+        self.conserves = all(sum(d for _, d in column) <= 0 for column in self.delta)
 
     def encode(self, m: Marking) -> tuple[int, ...]:
         """Slot counts of `m`; the one check that a marking lies in the net: a
@@ -117,9 +125,12 @@ class CompiledNet:
     def pack(self, vec: Sequence[int], firings: int = 0) -> tuple[int, int]:
         """`vec` as one int of `size`-byte fields, slot 0 lowest, and `size`:
         the fewest bytes whose top bit stays clear for every count an arc
-        calls or `firings` firings, each adding at most `rise`, reach."""
-        bound = max(max(vec, default=0), self.peak) + firings * self.rise
-        size = (bound.bit_length() + 8) // 8
+        calls and every count `firings` firings reach: at most `rise` more
+        a firing, and, if the net `conserves`, no more than `vec`'s total."""
+        bound = max(vec, default=0) + firings * self.rise
+        if self.conserves:
+            bound = min(bound, sum(vec))
+        size = (max(bound, self.peak).bit_length() + 8) // 8
         return int.from_bytes(b"".join(n.to_bytes(size, "little") for n in vec), "little"), size
 
     def decode(self, packed: Sequence[int], size: int,
@@ -135,6 +146,7 @@ class CompiledNet:
         touched = {t: [places[p] for p in ps] for t, ps in zip(self.transition_ids, self.touched)}
         shared: dict[int, Multiset] = {}
         out: list[Marking] = []
+        new, fill = object.__new__, Marking._map.__set__  # `Marking._of`, without its call
         for m, (i, t, _) in zip(packed, chain([(None,) * 3], edges, repeat((None,) * 3))):
             if i is None:
                 assignment, read = {}, places
@@ -151,7 +163,8 @@ class CompiledNet:
                     ms = shared[counts] = Multiset({c: int.from_bytes(raw[j:j + size], "little")
                                                     for c, j in zip(self.colors, range(0, step, size))})
                 assignment[pid] = ms
-            out.append(Marking._of(assignment))
+            fill(marking := new(Marking), assignment)
+            out.append(marking)
         return out
 
     def guard(self, k: int) -> Callable[[Environment], bool]:
@@ -164,17 +177,18 @@ class CompiledNet:
 
     def token_tests(self, mode: str, size: int) -> list:
         """`token_test` of every transition, in declaration order; built once
-        per mode and size.  Empty for a mode outside `MODES`, which callers
-        refuse before they fire."""
+        per mode and size, the subset tests sharing one `top`.  Empty for a
+        mode outside `MODES`, which callers refuse before they fire."""
         if mode not in MODES:
             return []
         if (mode, size) not in self.tests:
-            self.tests[mode, size] = [self.token_test(k, mode, size) for k in range(len(self.spans))]
+            top = int.from_bytes((bytes(size - 1) + b"\x80") * self.width * len(self.place_ids), "little")
+            self.tests[mode, size] = [self.token_test(k, mode, size, top) for k in range(len(self.spans))]
         return self.tests[mode, size]
 
-    def token_test(self, k: int, mode: str, size: int) -> Callable[[int], tuple[str, int] | None]:
+    def token_test(self, k: int, mode: str, size: int, top: int) -> Callable[[int], tuple[str, int] | None]:
         """The token test of the firing rule for the k-th transition, on
-        markings packed at `size` bytes.
+        markings packed at `size` bytes, whose fields' top bits are `top`.
 
         Returns a function from a packed marking to the move (transition id,
         packed delta column) when the input places hold what the arcs call,
@@ -199,7 +213,6 @@ class CompiledNet:
         if mode == "exact":
             span = sum(place << bits * lo for lo, _ in spans)
             return lambda m: move if m & span == calls else None
-        top = int.from_bytes((bytes(size - 1) + b"\x80") * self.width * len(self.place_ids), "little")
         # an arc calling no tokens still needs a token at its place
         occupied = [place << bits * lo for lo, counts in spans if not any(counts)]
         return lambda m: move if ((m | top) - calls) & top == top and (
@@ -215,30 +228,35 @@ class CompiledNet:
         computed is at most min(max_depth, max_states) firings from `start`.
 
         `live` is cut into maximal runs of consecutive transitions that read
-        the same input places.  The `token_test` of each of a run's
-        transitions reads only those places' fields (`mask`): no subset-mode
-        borrow leaves its field, and the exact spans lie within `mask`.  So a
-        run's moves at `m` are memoised under `m & mask`.  The tests and the
-        memo are built for this call only: kept on the view, they would hold
-        memory past the call.  Each node is decoded from the first edge into
-        it.
+        the same input places.  The `token_tests` of a run's transitions read
+        only those places' fields (`mask`): no subset-mode borrow leaves its
+        field, and the exact spans lie within `mask`.  So a run's moves at `m`
+        are memoised under `m & mask`, in a memo built for this call only.
+        Nodes are found level by level, so the depths are read off the level
+        boundaries.  Each node is decoded from the first edge into it.
         """
         m0, size = self.pack(self.encode(start), min(max_depth, max_states))
         place = (1 << 8 * size * self.width) - 1  # the fields of the first place
-        runs = groupby(live, lambda k: {lo for lo, _ in self.spans[k]})
-        tests = [(sum(place << 8 * size * lo for lo in reads), [self.token_test(k, mode, size) for k in run], {})
-                 for reads, run in runs]
+        tests = self.token_tests(mode, size)
+        runs = [(sum(place << 8 * size * lo for lo in reads), [tests[k] for k in run], {})
+                for reads, run in groupby(live, lambda k: {lo for lo, _ in self.spans[k]})]
         nodes: list[int] = [m0]
-        depths: list[int] = [0]
+        depths: list[int] = []  # filled a level at a time
         index: dict[int, int] = {m0: 0}
         edges: list[tuple[int, str, int]] = []
         found: list[tuple[int, str, int]] = []  # the first edge into each node but the start
         deadlocks: list[int] = []
         truncated = False
+        room = max_states - 1  # nodes that may still be added
+        depth, end = -1, 0  # the level being walked, and the index past it
+        add_node, add_edge, add_found, seen = nodes.append, edges.append, found.append, index.get
 
         for i, m in enumerate(nodes):  # nodes grows while it is walked
+            if i == end:  # the first node of the next level: all of it is found
+                depth, end = depth + 1, len(nodes)
+                depths += repeat(depth, end - i)
             options = []
-            for mask, run, memo in tests:
+            for mask, run, memo in runs:
                 key = m & mask
                 moves = memo.get(key)
                 if moves is None:
@@ -247,21 +265,21 @@ class CompiledNet:
             if not options:
                 deadlocks.append(i)
                 continue
-            if depths[i] >= max_depth:
+            if depth >= max_depth:
                 truncated = True  # frontier had live transitions beyond the depth bound
                 continue
             for t, delta in options:
                 after = m + delta
-                j = index.get(after)
+                j = seen(after)
                 if j is None:
-                    if len(nodes) >= max_states:
+                    if not room:
                         truncated = True
                         continue
+                    room -= 1
                     j = index[after] = len(nodes)
-                    nodes.append(after)
-                    depths.append(depths[i] + 1)
-                    found.append((i, t, j))
-                    edges.append(found[-1])
+                    add_node(after)
+                    add_found(edge := (i, t, j))
+                    add_edge(edge)
                 else:
-                    edges.append((i, t, j))
+                    add_edge((i, t, j))
         return self.decode(nodes, size, found), depths, edges, deadlocks, truncated

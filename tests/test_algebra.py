@@ -640,12 +640,31 @@ def pump_net(start):
                Marking({"P": {"x": start}, "Q": ["y"]}))
 
 
+def merge_net(a, b, c):
+    """x flows from A and from B into C, where `tc` calls and puts back one x;
+    `a`, `b` and `c` x at A, B and C, and a y at D above C's fields as a
+    bystander.  No firing adds tokens, so no count passes a + b + c."""
+    return Net("merge", ("x", "y"), (Place("A", 1), Place("B", 1), Place("C", 1), Place("D", -1)),
+               (Transition("ta"), Transition("tb"), Transition("tc")),
+               (Arc("A", "ta", Multiset(["x"])), Arc("ta", "C", Multiset(["x"])),
+                Arc("B", "tb", Multiset(["x"])), Arc("tb", "C", Multiset(["x"])),
+                Arc("C", "tc", Multiset(["x"])), Arc("tc", "C", Multiset(["x"]))),
+               Marking({"A": {"x": a}, "B": {"x": b}, "C": {"x": c}, "D": ["y"]}))
+
+
+#: merge starts whose token total, which C ends at, is 127/128 or
+#: 32767/32768, above every count they start with
+MERGES = [(2, 1, 124), (2, 2, 124), (2, 1, 32764), (2, 2, 32764), (8, 119, 0), (8, 120, 0)]
+
+
 class TestFieldWidths:
-    """The packed kernel sizes its byte fields per call from the firings the
-    call can make.  A pump counts P's tokens up through 127/128, 255/256 and
-    32767/32768, where a field one byte too narrow or without its spare top
-    bit would carry into Q or refuse a firing, and where replay would take a
-    recorded count for one it does not fire."""
+    """The packed kernel sizes its byte fields from the marking: from the
+    firings a call can make and, when no firing adds tokens, from the token
+    total.  A pump counts P's tokens up through 127/128, 255/256 and
+    32767/32768, and a merge gathers its total at C; there a field one byte
+    too narrow or without its spare top bit would carry into the next field
+    or refuse a firing, and replay would take a recorded count for one it
+    does not fire."""
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("start, max_depth, max_states", [
@@ -693,6 +712,60 @@ class TestFieldWidths:
             with pytest.raises(trace_io.ReplayError) as exc:
                 replay(net, doc)
             assert str(exc.value) == message
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("start", MERGES)
+    def test_merge_bfs(self, start, mode):
+        net = merge_net(*start)
+        bounds = [(10 ** 6, 10 ** 6)] + [(depth, 10 ** 6) for depth in range(5)] + [
+            (10 ** 6, states) for states in (1, 2, 5, 6, 9)]
+        for max_depth, max_states in bounds:
+            assert_same_graph(net, net.initial_marking, {}, max_depth, max_states, mode)
+
+    @pytest.mark.parametrize("start", MERGES)
+    def test_merge_firing_loops(self, start):
+        # all of A's and B's tokens gather at C, and tc fires at the total
+        net = merge_net(*start)
+        seq = ["ta"] * start[0] + ["tb"] * start[1] + ["tc"]
+        markings, m = [], net.initial_marking
+        for t in seq:
+            m = reference.fire(net, m, t, {})
+            markings.append(m)
+        assert m["C"] == Multiset({"x": sum(start)})
+        trace = fire_sequence(net, net.initial_marking, seq, [{}] * len(seq))
+        assert [ev.marking_after for ev in trace.events] == markings
+        doc = trace_io.trace_document(net, trace)
+        assert trace_io.replay(net, doc) == trace.final == reference.replay(net, doc)
+        for m in [net.initial_marking] + markings:
+            assert enabled_set(net, m, {}) == reference.enabled_set(net, m, {})
+        for policy in ("sweep", "single"):
+            m, fired = net.initial_marking, []
+            for steps in range(1, 6):
+                for t in net.transition_ids:  # one more step of `policy`
+                    if reference.enabled(net, m, t, {}):
+                        m = reference.fire(net, m, t, {})
+                        fired.append((t, m))
+                        if policy == "single":
+                            break
+                trace = simulate(net, net.initial_marking, {}, steps, policy)
+                assert [(ev.transition, ev.marking_after) for ev in trace.events] == fired
+
+    def test_conservation_flag(self, all_nets):
+        assert all(net.compiled.conserves for net in all_nets)
+        assert merge_net(1, 1, 1).compiled.conserves
+        assert not pump_net(1).compiled.conserves
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", models.NAMES)
+    def test_one_test_list_per_mode(self, name, mode, satsat_envs, debris_env):
+        # a bundled model's firing loops and search share one size, so one list
+        net = models.load(name)  # its own compiled view, unlike the fixtures'
+        env = {"satellite_swap": dict(satsat_envs[0]), "debris_disposal": debris_env}.get(name, {})
+        m0 = net.initial_marking
+        fired = enabled_set(net, m0, env, mode)[:1]
+        fire_sequence(net, m0, fired, [env] * len(fired), mode)
+        reachability_graph(net, m0, env, 10 ** 6, 200, mode)
+        assert list(net.compiled.tests) == [(mode, 1)]
 
     def test_replay_count_past_the_cap(self):
         # in one-byte fields P=381x packs to the int of P=125x+y: 381 carries
