@@ -70,7 +70,7 @@ def format_incidence(matrix: IncidenceMatrix) -> str:
     cells = [[str(e) for e in row] for row in matrix.entries]
     label_w = max((len(p) for p in matrix.place_ids), default=0)
     widths = [
-        max([len(t)] + [row[j] and len(row[j]) or 1 for row in cells])
+        max([len(t)] + [len(row[j]) for row in cells])
         for j, t in enumerate(matrix.transition_ids)
     ]
     lines = [" " * label_w + "  " + "  ".join(t.rjust(w) for t, w in zip(matrix.transition_ids, widths))]

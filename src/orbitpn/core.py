@@ -14,8 +14,8 @@ as in every bundled model, by at most its token total.  So the search and
 the firing loops share one size and one list of token tests, unless the
 marking's largest count and its total need different widths.  As in
 explicit-state generators (K. Wolf, ICATPN 2007), work is local: the BFS
-memoises a token test on its input places' fields, and a marking is decoded
-from the one it was fired from, at the places the firing touched.
+memoises a token test on its input places' fields.  A marking is unpacked
+only for output, every place read from its own fields.
 
 `Net.compiled` builds a `CompiledNet` on first use and imports this module
 only then: most `opn` runs never need it and do not pay to load it.
@@ -24,9 +24,9 @@ only then: most `opn` runs never need it and do not pay to load it.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain, groupby, repeat
+from itertools import groupby, repeat
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .expr import compile_guard
 from .model import MODES, Environment, Marking, Net
@@ -47,7 +47,6 @@ class CompiledNet:
     * ``delta[k]``: the nonzero (slot, d) of the transition's incidence column;
     * ``spans[k]``: (lo, counts) per input arc, sorted by place id: the counts
       it calls at its place's slots from ``lo`` on;
-    * ``touched[k]``: the indices of the places ``delta[k]`` changes;
     * ``guards[k]``: its guard, compiled by `guard` on first use.
 
     ``peak`` is the largest count an arc calls, ``rise`` the largest positive
@@ -62,8 +61,7 @@ class CompiledNet:
     """
 
     __slots__ = ("place_ids", "transition_ids", "colors", "column", "width", "offset",
-                 "delta", "spans", "touched", "guard_exprs", "guards", "tests", "peak", "rise",
-                 "conserves")
+                 "delta", "spans", "guard_exprs", "guards", "tests", "peak", "rise", "conserves")
 
     def __init__(self, net: Net):
         colors = set(net.colors)
@@ -103,7 +101,6 @@ class CompiledNet:
                     delta[base[place] + column[color]] += n
             self.delta.append(tuple((s, d) for s, d in sorted(delta.items()) if d))
             self.spans.append(tuple(spans))
-        self.touched = [sorted({slot // width for slot, _ in column}) for column in self.delta]
         self.peak = max((n for spans in self.spans for _, counts in spans for n in counts), default=0)
         self.rise = max((d for column in self.delta for _, d in column if d > 0), default=0)
         self.conserves = all(sum(d for _, d in column) <= 0 for column in self.delta)
@@ -133,36 +130,26 @@ class CompiledNet:
         size = (max(bound, self.peak).bit_length() + 8) // 8
         return int.from_bytes(b"".join(n.to_bytes(size, "little") for n in vec), "little"), size
 
-    def decode(self, packed: Sequence[int], size: int,
-               edges: Iterable[tuple[int, str, int]] = ()) -> list[Marking]:
-        """Markings of ints packed at `size` bytes a field.  The j-th of
-        `edges`, (i, t, j), is the firing that made marking j from an earlier
-        i (the first edge into a BFS node, a step of a chain): j copies i's
-        places and reads only those t touches.  Marking 0, and any past the
-        edges, is read in full.  Equal place contents share one `Multiset`."""
+    def decode(self, packed: Sequence[int], size: int) -> list[Marking]:
+        """Markings of ints packed at `size` bytes a field, every place read
+        from its own fields.  Equal place contents share one `Multiset`."""
         step = self.width * size
         field = (1 << 8 * step) - 1  # the fields of one place
         places = [(pid, 8 * step * i) for i, pid in enumerate(self.place_ids)]
-        touched = {t: [places[p] for p in ps] for t, ps in zip(self.transition_ids, self.touched)}
         shared: dict[int, Multiset] = {}
         out: list[Marking] = []
         new, fill = object.__new__, Marking._map.__set__  # `Marking._of`, without its call
-        for m, (i, t, _) in zip(packed, chain([(None,) * 3], edges, repeat((None,) * 3))):
-            if i is None:
-                assignment, read = {}, places
-            else:
-                assignment, read = out[i]._map.copy(), touched[t]
-            for pid, shift in read:
+        for m in packed:
+            assignment = {}
+            for pid, shift in places:
                 counts = m >> shift & field
-                if not counts:
-                    assignment.pop(pid, None)
-                    continue
-                ms = shared.get(counts)
-                if ms is None:
-                    raw = counts.to_bytes(step, "little")
-                    ms = shared[counts] = Multiset({c: int.from_bytes(raw[j:j + size], "little")
-                                                    for c, j in zip(self.colors, range(0, step, size))})
-                assignment[pid] = ms
+                if counts:
+                    ms = shared.get(counts)
+                    if ms is None:
+                        raw = counts.to_bytes(step, "little")
+                        ms = shared[counts] = Multiset({c: int.from_bytes(raw[j:j + size], "little")
+                                                        for c, j in zip(self.colors, range(0, step, size))})
+                    assignment[pid] = ms
             fill(marking := new(Marking), assignment)
             out.append(marking)
         return out
@@ -214,7 +201,7 @@ class CompiledNet:
             span = sum(place << bits * lo for lo, _ in spans)
             return lambda m: move if m & span == calls else None
         # an arc calling no tokens still needs a token at its place
-        occupied = [place << bits * lo for lo, counts in spans if not any(counts)]
+        occupied = tuple(place << bits * lo for lo, counts in spans if not any(counts))
         return lambda m: move if ((m | top) - calls) & top == top and (
             not occupied or all(m & p for p in occupied)) else None
 
@@ -233,7 +220,7 @@ class CompiledNet:
         field, and the exact spans lie within `mask`.  So a run's moves at `m`
         are memoised under `m & mask`, in a memo built for this call only.
         Nodes are found level by level, so the depths are read off the level
-        boundaries.  Each node is decoded from the first edge into it.
+        boundaries.  The nodes are decoded once, at the end.
         """
         m0, size = self.pack(self.encode(start), min(max_depth, max_states))
         place = (1 << 8 * size * self.width) - 1  # the fields of the first place
@@ -244,12 +231,11 @@ class CompiledNet:
         depths: list[int] = []  # filled a level at a time
         index: dict[int, int] = {m0: 0}
         edges: list[tuple[int, str, int]] = []
-        found: list[tuple[int, str, int]] = []  # the first edge into each node but the start
         deadlocks: list[int] = []
         truncated = False
         room = max_states - 1  # nodes that may still be added
         depth, end = -1, 0  # the level being walked, and the index past it
-        add_node, add_edge, add_found, seen = nodes.append, edges.append, found.append, index.get
+        add_node, add_edge, seen = nodes.append, edges.append, index.get
 
         for i, m in enumerate(nodes):  # nodes grows while it is walked
             if i == end:  # the first node of the next level: all of it is found
@@ -278,8 +264,5 @@ class CompiledNet:
                     room -= 1
                     j = index[after] = len(nodes)
                     add_node(after)
-                    add_found(edge := (i, t, j))
-                    add_edge(edge)
-                else:
-                    add_edge((i, t, j))
-        return self.decode(nodes, size, found), depths, edges, deadlocks, truncated
+                add_edge((i, t, j))
+        return self.decode(nodes, size), depths, edges, deadlocks, truncated

@@ -136,8 +136,8 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
     error carries the 1-based step index and the trace of the prefix that did
     execute.
 
-    Markings are decoded once, at the end or at the refusal, each from the
-    one before it, and only a refusal calls `enabling_failure`, for its reason.
+    Markings are decoded once, at the end or at the refusal, and only a
+    refusal calls `enabling_failure`, for its reason.
     """
     if len(seq) != len(envs):
         raise ValueError(f"sequence has {len(seq)} firings but {len(envs)} environments")
@@ -209,8 +209,8 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
 def _chain(net: Net, m0: Marking, packed: list[int], size: int, fired: Sequence[str],
            envs: Sequence[Environment]) -> Trace:
     """The trace from `m0` along `packed`, m0 first at `size` bytes a field:
-    the k-th of `fired`, under the k-th of `envs`, made the marking after the
-    k-th, which is decoded from the one before it."""
-    after = net.compiled.decode(packed, size, ((k, t, k + 1) for k, t in enumerate(fired)))[1:]
+    the k-th of `fired`, under the k-th of `envs`, made the k-th marking after
+    m0, and only those are decoded."""
+    after = net.compiled.decode(packed[1:], size)
     return Trace(net.name, m0, (FiringEvent(k, t, dict(env), marking) for k, (t, env, marking)
                                 in enumerate(zip(fired, envs, after), start=1)))

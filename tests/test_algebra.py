@@ -592,26 +592,20 @@ def packed_at(view, m, size):
     return int.from_bytes(b"".join(n.to_bytes(size, "little") for n in view.encode(m)), "little")
 
 
-class TestDecodeFromParents:
-    """`CompiledNet.decode` reads each marking from the one that discovered
-    it, only at the places the discovering transition touches; that must
-    equal reading every place."""
+class TestDecode:
+    """`CompiledNet.decode` reads every place of every packed marking; that
+    must give back the markings the reference firing rule reaches."""
 
     @given(case=live_nets(), mode=st.sampled_from(MODES),
            max_depth=st.integers(0, 4), max_states=st.integers(1, 30))
     def test_bfs_graph(self, case, mode, max_depth, max_states):
-        # the reference BFS gives the nodes and edges, so that a faulty
-        # decoder cannot supply its own input
+        # the reference BFS gives the nodes, so that a faulty decoder cannot
+        # supply its own input
         net, env = case
         view = net.compiled
-        nodes, _, edges, _, _ = reference_graph(net, net.initial_marking, env, max_depth, max_states, mode)
+        nodes = reference_graph(net, net.initial_marking, env, max_depth, max_states, mode)[0]
         size = view.pack(view.encode(net.initial_marking), min(max_depth, max_states))[1]
-        packed = [packed_at(view, m, size) for m in nodes]
-        first = {}
-        for edge in edges:
-            first.setdefault(edge[2], edge)
-        found = [first[j] for j in range(1, len(packed))]
-        assert view.decode(packed, size, found) == view.decode(packed, size) == list(nodes)
+        assert view.decode([packed_at(view, m, size) for m in nodes], size) == list(nodes)
 
     @given(case=live_nets(), mode=st.sampled_from(MODES), data=st.data())
     def test_firing_chain(self, case, mode, data):
@@ -625,9 +619,7 @@ class TestDecodeFromParents:
             fired.append(data.draw(st.sampled_from(options)))
             chain.append(reference.fire(net, chain[-1], fired[-1], env, mode))
         size = view.pack(view.encode(net.initial_marking), len(fired))[1]
-        packed = [packed_at(view, m, size) for m in chain]
-        edges = [(k, t, k + 1) for k, t in enumerate(fired)]
-        assert view.decode(packed, size, edges) == view.decode(packed, size) == chain
+        assert view.decode([packed_at(view, m, size) for m in chain], size) == chain
         trace = fire_sequence(net, net.initial_marking, fired, [env] * len(fired), mode)
         assert [ev.marking_after for ev in trace.events] == chain[1:]
 

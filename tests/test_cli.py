@@ -226,6 +226,35 @@ class TestSimulate:
         assert "deadlock: yes" in out
 
 
+class TestBadFlagValues:
+    """A malformed flag value is a usage error with a message naming it, and
+    exit 2, before anything fires."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fire", "--seq", "t1", "--env", "clock"], "expected name=value, got 'clock'"),
+        (["fire", "--seq", "t1", "--env", "=1"], "expected name=value, got '=1'"),
+        (["fire", "--seq", "t1", "--env", "clock=inf"], "value of 'clock' must be finite"),
+        (["fire", "--seq", "t1", "--env-at", "1"], "expected STEP:name=value, got '1'"),
+        (["fire", "--seq", "t1", "--env-at", "x:clock=1"], "step must be an integer, got 'x'"),
+        (["simulate", "--steps", "-1"], "--steps must be >= 0"),
+    ], ids=["env-no-equals", "env-no-name", "env-infinite", "env-at-no-step",
+            "env-at-step-text", "negative-steps"])
+    def test_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, argv[0], models.model_path("swap_infinite"), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    def test_empty_env_pairs_are_skipped(self, capsys):
+        path = models.model_path("satellite_swap")
+        plain = run(capsys, "fire", path, "--seq", "t1",
+                    "--env", "collision_prob=0.5,clock=5,T1=5,eps=1")
+        gapped = run(capsys, "fire", path, "--seq", "t1",
+                     "--env", " , collision_prob=0.5,,clock=5", "--env", "T1=5,eps=1,")
+        assert gapped == plain
+        assert plain[0] == 0
+
+
 BYSTANDER_NET = (
     "[colors]\nx, y\n[places]\nP1 +\nP2 -\n[transitions]\nt1\nt2\n"
     "[arcs]\nP1 -> t1 : x\nt1 -> P2 : x\nP2 -> t2 : x\nt2 -> P1 : x\n"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from orbitpn import (
     AndExpr,
+    Arith,
     Comparison,
     Multiset,
     NumLit,
@@ -68,6 +69,12 @@ class TestParseWeightExpr:
         with pytest.raises(ParseError):
             parse_weight_expr("x y", COLORS)
 
+    def test_operator_where_a_color_belongs(self):
+        for text, name, offset in (("x + +", "+", 4), ("x+ -", "-", 3)):
+            with pytest.raises(ParseError) as exc:
+                parse_weight_expr(text, COLORS)
+            assert (exc.value.message, exc.value.position) == (f"expected color name, got {name!r}", offset)
+
     def test_coefficient_too_long_for_int(self):
         # `int` refuses to convert more than 4300 digits from text
         with pytest.raises(ParseError, match="coefficient has 5000 digits") as exc:
@@ -106,6 +113,12 @@ class TestParseGuard:
     def test_arithmetic_operand(self):
         g = parse_guard("clock - T1 <= eps")
         assert guard_variables(g) == {"clock", "T1", "eps"}
+
+    def test_trailing_token(self):
+        for text, token in (("a > 1 b", "b"), ("a > 1 )", ")")):
+            with pytest.raises(ParseError) as exc:
+                parse_guard(text)
+            assert (exc.value.message, exc.value.position) == (f"unexpected trailing {token!r}", 6)
 
     def test_true_constant(self):
         assert parse_guard("true") == TRUE
@@ -234,6 +247,14 @@ class TestCompileGuard:
         with pytest.raises(KeyError):
             compile_guard(Comparison("; pass", VarRef("a"), NumLit(1.0)))
 
+    def test_refuses_a_tree_that_is_not_a_guard(self):
+        # hand-built trees: a number, or a variable under a connective
+        for g, part in ((NumLit(1.0), "NumLit(value=1.0)"),
+                        (AndExpr(TRUE, VarRef("a")), "VarRef(name='a')")):
+            with pytest.raises(TypeError) as exc:
+                compile_guard(g)
+            assert str(exc.value) == f"not a guard expression: {part}"
+
 
 class TestRoundTrip:
     @given(data=st.data())
@@ -250,6 +271,13 @@ class TestRoundTrip:
     def test_render_preserves_evaluation(self, g, data):
         env = {name: data.draw(st.floats(-100, 100)) for name in guard_variables(g)}
         assert eval_guard(parse_guard(render_guard(g)), env) == eval_guard(g, env)
+
+    def test_right_nested_arithmetic_has_no_text(self):
+        # the grammar groups no arithmetic, so a - (b - 1) cannot be written
+        g = Comparison("<", NumLit(1.0), Arith("-", VarRef("a"), Arith("-", VarRef("b"), NumLit(1.0))))
+        with pytest.raises(ValueError) as exc:
+            render_guard(g)
+        assert str(exc.value) == "right-nested arithmetic has no textual form"
 
     @given(g=guards)
     def test_error_positions_in_bounds(self, g):

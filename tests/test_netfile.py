@@ -107,6 +107,16 @@ class TestParseNet:
             parse_net(text)
         assert exc.value.line == 7
 
+    @pytest.mark.parametrize("text, message", [
+        ("[net]\nname =\n", "line 2: net name is empty"),
+        ("[transitions]\nt1 t2\n", "line 2: expected '<transition id> [: guard]', got 't1 t2'"),
+        ("[transitions]\n: a > 1\n", "line 2: expected '<transition id> [: guard]', got ': a > 1'"),
+    ], ids=["empty-name", "two-ids", "no-id"])
+    def test_line_error_text(self, text, message):
+        with pytest.raises(NetFileError) as exc:
+            parse_net(text)
+        assert str(exc.value) == message
+
 
 SHARED = """
 [colors]
@@ -205,6 +215,18 @@ class TestParseMarkingSpec:
     def test_unknown_place(self, classes_net):
         with pytest.raises(NetFileError):
             parse_marking_spec("P9 = A", classes_net.colors, classes_net.place_ids)
+
+    @pytest.mark.parametrize("text, message", [
+        ("P5", "expected '<place> = <tokens>', got 'P5'"),
+        (" = A", "expected '<place> = <tokens>', got '= A'"),
+        ("P5 = A; P5 = C", "place 'P5' assigned twice in marking spec"),
+        ("P5 = A+Z", "tokens of 'P5': unknown color 'Z'"),
+    ], ids=["no-equals", "no-place", "twice", "bad-tokens"])
+    def test_error_text(self, classes_net, text, message):
+        with pytest.raises(NetFileError) as exc:
+            parse_marking_spec(text, classes_net.colors, classes_net.place_ids)
+        assert str(exc.value) == message
+        assert exc.value.line is None
 
     def test_multiplicity(self, classes_net):
         m = parse_marking_spec("P5 = 2A", classes_net.colors, classes_net.place_ids)
