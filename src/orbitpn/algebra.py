@@ -17,7 +17,7 @@ adds an integer column.  The incidence matrix shows those columns.
 
 from __future__ import annotations
 
-from operator import index, mul
+from operator import index
 from typing import Sequence
 
 from .engine import Trace, _check_mode
@@ -116,35 +116,47 @@ def check_reachability_condition(net: Net, m0: Marking, md: Marking,
     certifies the necessary condition; absence certifies unreachability only
     up to the bound.  Guards are ignored: this is pure algebra.
 
-    Each candidate is tested by integer dot products with the rows of the
-    compiled incidence matrix that some transition touches.
+    Candidates are tested by running residuals, Md - M0 - A*X per slot of the
+    compiled net, which each step updates by the columns of `CompiledNet.delta`
+    whose counts change.
     """
     if index(max_total_firings) < 0:
         raise ValueError("max_total_firings must be nonnegative")
     view = net.compiled
-    target = [b - a for a, b in zip(view.encode(m0), view.encode(md))]
-    n = len(net.transitions)
-    rows: dict[int, list[int]] = {}
-    for j, column in enumerate(view.delta):
-        for slot, d in column:
-            rows.setdefault(slot, [0] * n)[j] = d
-    if any(d and slot not in rows for slot, d in enumerate(target)):
+    resid = [b - a for a, b in zip(view.encode(m0), view.encode(md))]
+    touched = {slot for column in view.delta for slot, _ in column}
+    if any(d and slot not in touched for slot, d in enumerate(resid)):
         return None  # no firing changes that count
-    equations = [(row, target[slot]) for slot, row in sorted(rows.items())]
-    return _least_solution((), n, max_total_firings, equations)
+    return _least_solution(view.delta, max_total_firings, resid)
 
 
-def _least_solution(prefix: tuple[int, ...], n: int, budget: int,
-                    equations: list[tuple[list[int], int]]) -> tuple[int, ...] | None:
-    """The lexicographically least extension of `prefix` to `n` counts, with at
-    most `budget` more firings, that solves every (row, want) equation."""
-    if len(prefix) == n:
-        return prefix if all(sum(map(mul, row, prefix)) == want for row, want in equations) else None
-    for count in range(budget + 1):
-        found = _least_solution(prefix + (count,), n, budget - count, equations)
-        if found is not None:
-            return found
-    return None
+def _least_solution(columns: Sequence[Sequence[tuple[int, int]]], budget: int,
+                    resid: list[int]) -> tuple[int, ...] | None:
+    """The lexicographically least count vector with at most `budget` firings
+    that takes every residual to zero, count j firing column `columns[j]`.
+
+    An odometer, the last count turning fastest: while firings are `left`, the
+    last count goes up by one; else the last nonzero count (`last`) goes back
+    to zero and the one before it up by one.  No step builds a tuple, a
+    closure or a frame."""
+    counts = [0] * len(columns)
+    left, last = budget, -1
+    while any(resid):
+        if left:
+            j = last = len(columns) - 1
+        elif last > 0:
+            c, counts[last] = counts[last], 0
+            left += c
+            for slot, d in columns[last]:
+                resid[slot] += c * d
+            j = last = last - 1
+        else:
+            return None
+        counts[j] += 1
+        left -= 1
+        for slot, d in columns[j]:
+            resid[slot] -= d
+    return tuple(counts)
 
 
 def firing_counts(net: Net, trace: Trace) -> tuple[int, ...]:

@@ -44,3 +44,22 @@ def satsat_envs():
 @pytest.fixture(scope="session")
 def debris_env():
     return dict(DEBRIS_ENV)
+
+
+#: transitions of the fan net: more than the interpreter's default recursion limit
+FAN_WIDTH = 1200
+
+
+@pytest.fixture(scope="session")
+def fan_path(tmp_path_factory):
+    """A net file of FAN_WIDTH transitions t0, t1, ..., each moving the one
+    token x from P0 to P1."""
+    lines = ["[colors]", "x", "[places]", "P0 +", "P1 +", "[transitions]"]
+    lines += [f"t{i}" for i in range(FAN_WIDTH)]
+    lines.append("[arcs]")
+    for i in range(FAN_WIDTH):
+        lines += [f"P0 -> t{i} : x", f"t{i} -> P1 : x"]
+    lines += ["[marking]", "P0 = x"]
+    path = tmp_path_factory.mktemp("fan") / "fan.opn"
+    path.write_text("\n".join(lines) + "\n")
+    return path

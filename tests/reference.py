@@ -12,7 +12,9 @@ parse every text afresh; the canonical text of a formal sum, formatted afresh
 on every call; the records (`orbitpn.multiset.Record`) defined as frozen
 dataclasses; and trace replay as a whole-document pipeline: the document read into a `Trace`,
 its transitions re-fired by `engine.fire_sequence` and the two traces
-compared marking by marking.
+compared marking by marking.  And the witness search of the state
+equation as a recursion, one frame per transition, that tests each candidate
+by dot products with the incidence rows (`least_solution`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import math
 import operator
 import re
+from operator import mul
 from typing import Collection, Mapping
 
 from orbitpn import (
@@ -230,6 +233,31 @@ def incidence_entries(net: Net) -> tuple[tuple[SignedMultiset, ...], ...]:
         tuple(deposited.get((p, t), zero) + called.get((p, t), zero) for t in net.transition_ids)
         for p in net.place_ids
     )
+
+
+def least_solution(prefix: tuple[int, ...], n: int, budget: int,
+                   equations: list[tuple[list[int], int]]) -> tuple[int, ...] | None:
+    """The lexicographically least extension of `prefix` to `n` counts, with at
+    most `budget` more firings, that solves every (row, want) equation."""
+    if len(prefix) == n:
+        return prefix if all(sum(map(mul, row, prefix)) == want for row, want in equations) else None
+    for count in range(budget + 1):
+        found = least_solution(prefix + (count,), n, budget - count, equations)
+        if found is not None:
+            return found
+    return None
+
+
+def state_equation_witness(net: Net, m0: Marking, md: Marking,
+                           bound: int) -> tuple[int, ...] | None:
+    """The lexicographically least X with at most `bound` firings and
+    Md - M0 = A*X, by `least_solution` over one equation per (place, color),
+    its row read from `incidence_entries`."""
+    entries = incidence_entries(net)
+    colors = sorted({*net.colors, *(c for row in entries for e in row for c, _ in e.items())})
+    equations = [([e.coefficient(c) for e in row], md[p].count(c) - m0[p].count(c))
+                 for p, row in zip(net.place_ids, entries) for c in colors]
+    return least_solution((), len(net.transitions), bound, equations)
 
 
 def format_sum(coeffs: Mapping[str, int]) -> str:

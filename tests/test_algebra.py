@@ -1,8 +1,9 @@
 import gc
 import itertools
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given
 from hypothesis import strategies as st
 
 from orbitpn import (
@@ -34,8 +35,9 @@ from orbitpn import (
 )
 from orbitpn.engine import MODES
 from orbitpn.expr import compile_guard
+from orbitpn.netfile import load_net
 import reference
-from strategies import live_nets, nets
+from strategies import live_nets, nets, replace_net
 
 sm = SignedMultiset
 
@@ -357,6 +359,49 @@ class TestReachabilityCondition:
             assert witness == min(solutions)
         else:
             assert witness is None
+
+    @given(net=nets(max_places=3, max_transitions=6, max_colors=2), data=st.data())
+    def test_agrees_with_recursive_search(self, net, data):
+        """The odometer against the recursive search `reference.least_solution`.
+        Targets are Md - M0 = A*X for a drawn X within the bound or up to two
+        firings beyond it, some of them moved by one token at a few slots, so
+        that some have a witness and some none.  Some nets get a last
+        transition with the arcs of another, so that a witness has a twin that
+        is not the least."""
+        if len(net.transitions) < 6 and data.draw(st.booleans()):
+            t = data.draw(st.sampled_from(net.transition_ids))
+            copies = tuple(Arc(a.source, "twin", a.weight) if a.target == t
+                           else Arc("twin", a.target, a.weight)
+                           for a in net.arcs if t in (a.source, a.target))
+            net = replace_net(net, transitions=net.transitions + (Transition("twin"),),
+                              arcs=net.arcs + copies)
+        bound = data.draw(st.integers(0, 5))
+        n = len(net.transitions)
+        x, left = [0] * n, bound + data.draw(st.sampled_from((0, 0, 1, 2)))
+        for j in reversed(range(n)):  # the twin first
+            x[j] = data.draw(st.integers(0, left))
+            left -= x[j]
+        moved = data.draw(st.booleans())
+        m0, md = {}, {}
+        for p, row in zip(net.place_ids, reference.incidence_entries(net)):
+            change = {c: sum(k * e.coefficient(c) for e, k in zip(row, x)) for c in net.colors}
+            if moved:
+                change = {c: d + data.draw(st.integers(-1, 1)) for c, d in change.items()}
+            base = {c: data.draw(st.integers(0, 2)) + max(0, -d) for c, d in change.items()}
+            m0[p] = Multiset(base)
+            md[p] = Multiset({c: base[c] + d for c, d in change.items()})
+        m0, md = Marking(m0), Marking(md)
+        expected = reference.state_equation_witness(net, m0, md, bound)
+        event("no witness" if expected is None else "witness")
+        assert check_reachability_condition(net, m0, md, bound) == expected
+
+    def test_more_transitions_than_the_recursion_limit(self, fan_path):
+        net = load_net(fan_path)
+        n, m0 = len(net.transitions), net.initial_marking
+        assert n > sys.getrecursionlimit()
+        assert check_reachability_condition(net, m0, m0, 0) == (0,) * n
+        moved = Marking({"P1": ["x"]})
+        assert check_reachability_condition(net, m0, moved, 1) == (0,) * (n - 1) + (1,)
 
 
 def test_calls_leave_no_cyclic_garbage(debris_net):

@@ -1,11 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from orbitpn import Marking, cli, engine, models, trace_io
 from orbitpn.netfile import load_net
 import reference
+from conftest import FAN_WIDTH
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SATSAT_ARGS = [
     "--env", "collision_prob=0.5,T1=5,eps=1",
@@ -387,6 +394,20 @@ class TestReach:
         assert code == 2
         assert out == ""
         assert err == f"usage error: {message}\n"
+
+    def test_more_transitions_than_the_recursion_limit(self, fan_path):
+        # the installed `opn` runs `cli.main` as this child does, and an error
+        # that escapes it prints a traceback and exits 1
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-m", "orbitpn.cli", "reach", str(fan_path),
+             "--target", "P1=x", "--bound", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert result.stdout.startswith("witness: X = (0, 0, ")
+        assert f"t{FAN_WIDTH - 2}=0, t{FAN_WIDTH - 1}=1]" in result.stdout
 
     def test_witness_without_executability(self, capsys, tmp_path):
         # the algebraic condition holds, but the guard forbids every firing
