@@ -18,11 +18,14 @@ adds an integer column.  The incidence matrix shows those columns.
 from __future__ import annotations
 
 from operator import index
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .engine import Trace, _check_mode
+from .core import check_mode
 from .model import Environment, Marking, Net
 from .multiset import Record, SignedMultiset
+
+if TYPE_CHECKING:
+    from .engine import Trace
 
 
 class InfeasibleMarkingError(ValueError):
@@ -120,7 +123,8 @@ def check_reachability_condition(net: Net, m0: Marking, md: Marking,
     compiled net, which each step updates by the columns of `CompiledNet.delta`
     whose counts change.
     """
-    if index(max_total_firings) < 0:
+    max_total_firings = index(max_total_firings)
+    if max_total_firings < 0:
         raise ValueError("max_total_firings must be nonnegative")
     view = net.compiled
     resid = [b - a for a, b in zip(view.encode(m0), view.encode(md))]
@@ -210,7 +214,7 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     if max_depth < 0 or max_states < 1:
         raise ValueError("max_depth must be >= 0 and max_states >= 1")
     if net.transitions:
-        _check_mode(mode)
+        check_mode(mode)
     view = net.compiled
     # The environment is fixed, so every guard is evaluated once, in
     # declaration order, as the checks at the first state would: an unbound

@@ -17,8 +17,8 @@ explicit-state generators (K. Wolf, ICATPN 2007), work is local: the BFS
 memoises a token test on its input places' fields.  A marking is unpacked
 only for output, every place read from its own fields.
 
-`Net.compiled` builds a `CompiledNet` on first use and imports this module
-only then: most `opn` runs never need it and do not pay to load it.
+`Net.compiled` builds a `CompiledNet` on first use.  `engine` and `algebra`
+import this module as they load; `opn validate` never loads it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,12 @@ from typing import Callable, Sequence
 from .expr import compile_guard
 from .model import MODES, Environment, Marking, Net
 from .multiset import Multiset
+
+
+def check_mode(mode: str) -> None:
+    """Refuse a mode outside `MODES`, for which `token_tests` builds no tests."""
+    if mode not in MODES:
+        raise ValueError(f"unknown containment mode {mode!r}; expected one of {MODES}")
 
 
 class CompiledNet:
@@ -130,6 +136,15 @@ class CompiledNet:
         size = (max(bound, self.peak).bit_length() + 8) // 8
         return int.from_bytes(b"".join(n.to_bytes(size, "little") for n in vec), "little"), size
 
+    def share(self, place: str, ms: Multiset, size: int) -> int:
+        """The fields of `ms` at `place`, packed at `size` bytes a field as `pack` packs them."""
+        bits = 8 * size
+        # a count at or over its field's top bit, which no firing reaches, or a place the net
+        # lacks packs as a bit above every field: such a recording equals no marking fired
+        if place not in self.offset or any(n >> bits - 1 for _, n in ms.items()):
+            return 1 << bits * self.width * len(self.place_ids)
+        return sum(n << bits * (self.offset[place] + self.column[c]) for c, n in ms.items())
+
     def decode(self, packed: Sequence[int], size: int) -> list[Marking]:
         """Markings of ints packed at `size` bytes a field, every place read
         from its own fields.  Equal place contents share one `Multiset`."""
@@ -165,7 +180,7 @@ class CompiledNet:
     def token_tests(self, mode: str, size: int) -> list:
         """`token_test` of every transition, in declaration order; built once
         per mode and size, the subset tests sharing one `top`.  Empty for a
-        mode outside `MODES`, which callers refuse before they fire."""
+        mode outside `MODES`, which callers refuse (`check_mode`) first."""
         if mode not in MODES:
             return []
         if (mode, size) not in self.tests:

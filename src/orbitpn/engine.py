@@ -26,7 +26,8 @@ from __future__ import annotations
 from operator import ge, index
 from typing import Sequence
 
-from .model import MODES, Environment, Marking, Net
+from .core import check_mode
+from .model import Environment, Marking, Net
 from .multiset import Multiset, Record
 
 
@@ -61,11 +62,6 @@ class Trace(Record):
         return self.events[-1].marking_after if self.events else self.initial
 
 
-def _check_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown containment mode {mode!r}; expected one of {MODES}")
-
-
 def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
                      mode: str = "subset") -> str | None:
     """Why `t` is not enabled at `m`, or None if it is.
@@ -75,7 +71,7 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     masked by a structural refusal.  The first input arc (`CompiledNet.spans`,
     by place id) that fails is named by its place and calls, read off the view.
     """
-    _check_mode(mode)
+    check_mode(mode)
     k = net.transition_index[net.transition(t).id]  # KeyError names an unknown t
     view = net.compiled
     guard_ok = view.guard(k)(env)
@@ -120,7 +116,7 @@ def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") ->
     Every guard is evaluated, in declaration order, before any token test.
     """
     if net.transitions:
-        _check_mode(mode)
+        check_mode(mode)
     view = net.compiled
     live = [k for k in range(len(net.transitions)) if view.guard(k)(env)]
     packed, size = view.pack(view.encode(m))
@@ -142,7 +138,7 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
     if len(seq) != len(envs):
         raise ValueError(f"sequence has {len(seq)} firings but {len(envs)} environments")
     if seq:
-        _check_mode(mode)
+        check_mode(mode)
     view = net.compiled
     m, size = view.pack(view.encode(m0), len(seq))
     tests = view.token_tests(mode, size)
@@ -183,7 +179,7 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
         raise ValueError(f"unknown policy {policy!r}; expected 'sweep' or 'single'")
     steps = index(steps)
     if steps > 0 and net.transitions:
-        _check_mode(mode)
+        check_mode(mode)
     view = net.compiled
     # a sweep fires each transition at most once
     m, size = view.pack(view.encode(m0), max(steps, 0) * len(net.transitions))

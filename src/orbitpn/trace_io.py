@@ -51,11 +51,6 @@ def _field(record: dict, key: str, step: int | None = None, kind: type | None = 
     return value
 
 
-def _weights(colors):
-    """`expr.parse_weight_expr` over `colors`, parsing each distinct text once."""
-    return functools.cache(functools.partial(expr.parse_weight_expr, colors=colors))
-
-
 def _weight(place, text, parse, where: str):
     """`text` parsed as what `place` holds, or a ReplayError led by `where`."""
     if not isinstance(text, str):
@@ -80,16 +75,6 @@ def _env_field(record: dict, step: int) -> dict[str, float]:
         except (TypeError, ValueError, OverflowError):  # an int past float range overflows
             raise ReplayError(f"step {step}: 'env': {name!r} is {value!r}, not a number") from None
     return env
-
-
-def _event(ev, k: int) -> tuple:
-    """The k-th event's step, transition, environment and marking entries,
-    or a ReplayError for the first of them (in that order) of the wrong
-    shape; the entries are checked by whoever reads them."""
-    if not isinstance(ev, dict):
-        raise ReplayError(f"step {k}: event is not a JSON object")
-    return (_field(ev, "step", k), _field(ev, "transition", k, str), _env_field(ev, k),
-            _field(ev, "marking", k, dict))
 
 
 def marking_to_strings(m: Marking) -> dict[str, str]:
@@ -143,14 +128,14 @@ def replay(net: Net, doc: dict) -> Marking:
     or wrong `net`; an unknown `mode`; the replay's faults, step by step;
     then `final`, its shape or a divergence.
 
-    One pass reads the events and packs each recorded marking as
-    `CompiledNet.pack` does; a second fires them on the packed marking, as
-    `engine.fire_sequence` does, comparing one int per step.  Only the final
-    marking, and one an error prints, is decoded.
+    One pass reads the events, each event's fields in order, and packs each
+    recorded (place, text) once, with `CompiledNet.share`; a second fires them
+    on the packed marking, as `engine.fire_sequence` does, comparing one int
+    per step.  Only the final marking, and one an error prints, is decoded.
     """
     if not isinstance(doc, dict):
         raise ReplayError("document is not a JSON object")
-    parse = _weights(net.colors)
+    parse = functools.cache(functools.partial(expr.parse_weight_expr, colors=net.colors))
     initial = _marking(_field(doc, "initial", kind=dict), parse, "document: 'initial'")
     view = net.compiled
     try:
@@ -159,23 +144,20 @@ def replay(net: Net, doc: dict) -> Marking:
         raise ReplayError(f"document: 'initial': {err.args[0]}") from None
     events = _field(doc, "events", kind=list)
     m, size = view.pack(vec, len(events))
-    bits, column, slot = 8 * size, view.column, view.offset
-    # a count at or over the cap, which no firing reaches, or a place the net lacks
-    # packs as a bit above every field: such a recording equals no marking fired
-    cap, past = 1 << bits - 1, 1 << bits * view.width * len(slot)
     worth: dict[tuple, int] = {}  # (place, text) -> its packed share
 
     recorded = []
     for k, ev in enumerate(events, start=1):
-        step, t, env, entries = _event(ev, k)
+        if not isinstance(ev, dict):
+            raise ReplayError(f"step {k}: event is not a JSON object")
+        step, t = _field(ev, "step", k), _field(ev, "transition", k, str)
+        env, entries = _env_field(ev, k), _field(ev, "marking", k, dict)
         after = 0
         for place, text in entries.items():
             share = worth.get((place, text)) if isinstance(text, str) else None
             if share is None:
-                counts = _weight(place, text, parse, f"step {k}: 'marking'").items()
-                fits = place in slot and all(n < cap for _, n in counts)
-                share = worth[place, text] = past if not fits else sum(
-                    n << bits * (slot[place] + column[c]) for c, n in counts)
+                weight = _weight(place, text, parse, f"step {k}: 'marking'")
+                share = worth[place, text] = view.share(place, weight, size)
             after += share
         recorded.append((step, t, env, after, entries))
 

@@ -52,7 +52,8 @@ from orbitpn import (
 )
 from orbitpn import expr
 from orbitpn.expr import MAX_GUARD_DEPTH
-from orbitpn.engine import MODES, FiringEvent, Trace, fire_sequence
+from orbitpn.engine import FiringEvent, Trace, fire_sequence
+from orbitpn.model import MODES
 from orbitpn.multiset import Record
 from orbitpn.trace_io import ReplayError
 

@@ -33,8 +33,8 @@ from orbitpn import (
     trace_io,
     verify_sequence_consistency,
 )
-from orbitpn.engine import MODES
 from orbitpn.expr import compile_guard
+from orbitpn.model import MODES
 from orbitpn.netfile import load_net
 import reference
 from strategies import live_nets, nets, replace_net
@@ -346,6 +346,17 @@ class TestReachabilityCondition:
         assert check_reachability_condition(swap_net, m0, m0, 0) == (0, 0)
         assert check_reachability_condition(
             swap_net, m0, Marking({"P1": ["y"], "P2": ["x"]}), 0) is None
+
+    def test_bound_is_read_through_index(self, swap_net):
+        # a bound that is an integer only by `__index__`, which
+        # reachability_graph, simulate and apply_state_equation also take
+        class Bound:
+            def __index__(self):
+                return 2
+
+        target = Marking({"P1": ["y"], "P2": ["x"]})
+        assert check_reachability_condition(swap_net, swap_net.initial_marking,
+                                            target, Bound()) == (1, 0)
 
     @given(net=nets(max_places=3, max_transitions=3, max_colors=2), data=st.data())
     def test_agrees_with_brute_force(self, net, data):
@@ -667,6 +678,34 @@ class TestDecode:
         assert view.decode([packed_at(view, m, size) for m in chain], size) == chain
         trace = fire_sequence(net, net.initial_marking, fired, [env] * len(fired), mode)
         assert [ev.marking_after for ev in trace.events] == chain[1:]
+
+
+class TestShare:
+    """`CompiledNet.share` packs one place of a recorded marking as `pack`
+    lays it out, and a place outside the net or a count at a field's top bit
+    as the bit above every field."""
+
+    @given(case=live_nets(), mode=st.sampled_from(MODES),
+           max_depth=st.integers(0, 4), max_states=st.integers(1, 30))
+    def test_shares_sum_to_the_packed_marking(self, case, mode, max_depth, max_states):
+        net, env = case
+        view = net.compiled
+        nodes = reference_graph(net, net.initial_marking, env, max_depth, max_states, mode)[0]
+        size = view.pack(view.encode(net.initial_marking), min(max_depth, max_states))[1]
+        for m in nodes:
+            assert sum(view.share(place, ms, size) for place, ms in m.items()) == packed_at(view, m, size)
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_place_outside_the_net(self, swap_net, size):
+        past = 1 << 8 * size * 2 * 2  # two places of two colors
+        assert swap_net.compiled.share("nope", Multiset(["x"]), size) == past
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_count_at_the_top_bit(self, swap_net, size):
+        view, top = swap_net.compiled, 2 ** (8 * size - 1)
+        assert view.share("P2", Multiset({"y": top}), size) == 1 << 8 * size * 2 * 2
+        below = Multiset({"y": top - 1})
+        assert view.share("P2", below, size) == packed_at(view, Marking({"P2": below}), size)
 
 
 def pump_net(start):

@@ -116,3 +116,8 @@ def test_cli_loads_only_the_layers_a_subcommand_runs():
     env = "collision_prob=0.5,clock=5,T1=5,eps=1"
     assert _loaded_after(["fire", model, "--seq", "t1", "--env", env], unused) == [
         "orbitpn.engine", "orbitpn.core"]
+    # the algebra reads the compiled net, not the engine
+    swap = str(ROOT / "src" / "orbitpn" / "models" / "swap_infinite.opn")
+    assert _loaded_after(["incidence", swap], unused) == ["orbitpn.algebra", "orbitpn.core"]
+    assert _loaded_after(["reach", swap, "--target", "P1=y; P2=x", "--bound", "2", "--confirm"],
+                         unused) == ["orbitpn.algebra", "orbitpn.core"]
