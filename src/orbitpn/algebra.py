@@ -59,13 +59,13 @@ def incidence_matrix(net: Net) -> IncidenceMatrix:
     """Entry (p, t) = output weight w(t->p) minus input weight w(p->t), read
     off the compiled incidence columns (`CompiledNet.delta`)."""
     view = net.compiled
-    rows = [[{} for _ in net.transition_ids] for _ in net.place_ids]
+    rows = {p: [{} for _ in net.transition_ids] for p in net.place_ids}
     for j, column in enumerate(view.delta):
         for slot, d in column:
-            place, color = divmod(slot, view.width)
-            rows[place][j][view.colors[color]] = d
+            place, color = view.slot_names[slot]
+            rows[place][j][color] = d
     return IncidenceMatrix(net.place_ids, net.transition_ids,
-                           tuple(tuple(map(SignedMultiset, row)) for row in rows))
+                           tuple(tuple(map(SignedMultiset, row)) for row in rows.values()))
 
 
 def format_incidence(matrix: IncidenceMatrix) -> str:
@@ -103,8 +103,7 @@ def apply_state_equation(net: Net, m: Marking, u: Sequence[int]) -> Marking:
                 vec[slot] += count * d
     for slot, n in enumerate(vec):
         if n < 0:
-            place, color = divmod(slot, view.width)
-            raise InfeasibleMarkingError(net.place_ids[place], view.colors[color], n)
+            raise InfeasibleMarkingError(*view.slot_names[slot], n)
     packed, size = view.pack(vec)
     return view.decode([packed], size)[0]
 
@@ -192,10 +191,7 @@ class ReachabilityGraph(Record):
     truncated: bool
 
     def index_of(self, m: Marking) -> int | None:
-        for i, node in enumerate(self.nodes):
-            if node == m:
-                return i
-        return None
+        return self.nodes.index(m) if m in self.nodes else None
 
 
 def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,

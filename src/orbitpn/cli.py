@@ -45,13 +45,6 @@ def _parse_env_pairs(text: str) -> dict[str, float]:
     return env
 
 
-def _collect_env(values: list[str] | None) -> dict[str, float]:
-    env: dict[str, float] = {}
-    for chunk in values or []:
-        env.update(_parse_env_pairs(chunk))
-    return env
-
-
 def _collect_env_at(values: list[str] | None, n_steps: int) -> dict[int, dict[str, float]]:
     overrides: dict[int, dict[str, float]] = {}
     for chunk in values or []:
@@ -111,7 +104,7 @@ def cmd_fire(args) -> int:
     for t in seq:
         if t not in net.transition_index:
             raise UsageError(f"unknown transition {t!r} in --seq")
-    base = _collect_env(args.env)
+    base = _parse_env_pairs(",".join(args.env or ()))
     overrides = _collect_env_at(args.env_at, len(seq))
     envs = [dict(base, **overrides.get(k, {})) for k in range(1, len(seq) + 1)]
     try:
@@ -134,7 +127,7 @@ def cmd_simulate(args) -> int:
     net = netfile.load_net(args.path)
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
-    env = _collect_env(args.env)
+    env = _parse_env_pairs(",".join(args.env or ()))
     trace = engine.simulate(net, net.initial_marking, env, args.steps, args.policy, args.mode)
     deadlock = not engine.enabled_set(net, trace.final, env, args.mode)
     _write_trace(net, trace, args.mode, args.out, final_env=env)
@@ -180,7 +173,7 @@ def cmd_reach(args) -> int:
         print("note: the state-equation condition is necessary, not sufficient, "
               "for executable reachability")
     if args.confirm:
-        env = _collect_env(args.env)
+        env = _parse_env_pairs(",".join(args.env or ()))
         graph = algebra.reachability_graph(net, net.initial_marking, env, max_depth=args.bound,
                                            max_states=args.max_states, mode=args.mode)
         where = graph.index_of(target)

@@ -46,6 +46,9 @@ class CompiledNet:
     Slot ``offset[p] + j`` counts ``colors[j]`` at place ``p``; the i-th
     declared place has offset ``i * width``.  The colors, sorted, are the
     declared ones and every color on an arc; ``width`` is their number (1 if none).
+    ``slot_names[s]`` is the (place id, color) that slot ``s`` counts, color
+    None in a net without colors: the one map back from a slot, so the slot
+    layout stays inside this module.
     An arc is an input of a transition target with a declared place source,
     and an output of a transition source with a declared place target.  Per
     transition, in declaration order:
@@ -66,7 +69,7 @@ class CompiledNet:
     makes no reference cycle.
     """
 
-    __slots__ = ("place_ids", "transition_ids", "colors", "column", "width", "offset",
+    __slots__ = ("place_ids", "transition_ids", "colors", "column", "width", "offset", "slot_names",
                  "delta", "spans", "guard_exprs", "guards", "tests", "peak", "rise", "conserves")
 
     def __init__(self, net: Net):
@@ -85,6 +88,7 @@ class CompiledNet:
         for i, p in enumerate(net.place_ids):
             if base.setdefault(p, i * width) != i * width:
                 raise ValueError(f"place {p!r}: duplicate id")
+        self.slot_names = tuple((p, c) for p in net.place_ids for c in self.colors or (None,))
         arcs = {t: ({}, {}) for t in net.transition_ids}  # (calls, deposits) by place
         for side, ends in enumerate((attrgetter("target", "source"), attrgetter("source", "target"))):
             for arc in net.arcs:

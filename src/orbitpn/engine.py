@@ -80,13 +80,13 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     if not spans:
         return "no input arcs (source transitions are never enabled)"
     for lo, counts in spans:
-        held = vec[lo:lo + view.width]
+        held = vec[lo:lo + len(counts)]
         if any(held) and (held == counts if mode == "exact" else all(map(ge, held, counts))):
             continue
-        place = view.place_ids[lo // view.width]
+        place = view.slot_names[lo][0]
         if not any(held):
             return f"input place {place!r} is empty"
-        called = Multiset(dict(zip(view.colors, counts)))
+        called = Multiset({color: n for (_, color), n in zip(view.slot_names[lo:], counts)})
         what = "token calling unsatisfied" if mode == "subset" else "exact-mode mismatch"
         return f"{what} at {place!r}: arc calls {called}, place holds {m[place]}"
     if not guard_ok:

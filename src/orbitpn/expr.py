@@ -327,6 +327,9 @@ def parse_guard(text: str) -> GuardExpr:
 def _render_num(e: NumExpr) -> str:
     if isinstance(e, NumLit):
         v = e.value
+        # the grammar has no unary minus and no non-finite number
+        if v < 0 or not math.isfinite(v):
+            raise ValueError(f"number {v!r} has no textual form")
         return str(int(v)) if v == int(v) else repr(v)
     if isinstance(e, VarRef):
         return e.name

@@ -64,32 +64,22 @@ class Record:
     __match_args__: tuple[str, ...] = ()
     _defaults: dict = {}
     _setters: tuple = ()             # the slots' own setters, past `__setattr__`
-    _tails: dict = {0: ()}           # k -> the defaults of the fields after the k-th
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = cls.__match_args__
-        cls._setters = tuple(getattr(cls, name).__set__ for name in fields)
-        cls._tails = {len(fields): ()}
-        for n in range(len(fields) - 1, -1, -1):
-            if fields[n] not in cls._defaults:
-                break
-            cls._tails[n] = tuple(cls._defaults[name] for name in fields[n:])
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
 
     def __init__(self, *args, **kwargs):
-        # one value per field by position, or the leading ones and defaults
-        tail = self._tails.get(len(args))
-        if tail is None or kwargs:
+        # one value per field by position, or any other call through `_complete`
+        if kwargs or len(args) != len(self._setters):
             args = self._complete(args, kwargs)
-        elif tail:
-            args += tail
         for set_field, value in zip(self._setters, args):
             set_field(self, value)
 
     @classmethod
     def _complete(cls, args: tuple, kwargs: dict) -> tuple:
-        """Every field's value in order, from a call that gives some by keyword
-        or gives too many or too few."""
+        """Every field's value in order, from a call that gives some by keyword,
+        leaves some to `_defaults`, or gives too many or too few."""
         fields = cls.__match_args__
         given = dict(zip(fields, args), **kwargs)
         values = {**cls._defaults, **given}

@@ -150,7 +150,8 @@ def parse_net(text: str, default_name: str = "net") -> Net:
 
 
 def read_net(path) -> Net:
-    """Read and parse a net file, without validating it."""
+    """Read and parse a net file, without validating it; a leading byte-order
+    mark is dropped."""
     path = Path(path)
     data = path.read_bytes()
     try:
@@ -159,7 +160,9 @@ def read_net(path) -> Net:
         raise NetFileError(
             f"not UTF-8 text: byte 0x{data[err.start]:02x} at byte offset {err.start}"
         ) from None
-    return parse_net(text, default_name=path.stem)
+    # drop the mark "UTF-8 with BOM" editors write; decoding with "utf-8-sig"
+    # would report a bad byte after it 3 bytes early
+    return parse_net(text.removeprefix("\ufeff"), default_name=path.stem)
 
 
 def load_net(path) -> Net:

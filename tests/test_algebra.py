@@ -648,6 +648,21 @@ def packed_at(view, m, size):
     return int.from_bytes(b"".join(n.to_bytes(size, "little") for n in view.encode(m)), "little")
 
 
+class TestSlotNames:
+    """`CompiledNet.slot_names` names the place and color each slot of
+    `encode` counts."""
+
+    @given(case=live_nets(), mode=st.sampled_from(MODES))
+    def test_names_what_each_slot_counts(self, case, mode):
+        net, env = case
+        view = net.compiled
+        for m in reference_graph(net, net.initial_marking, env, 4, 30, mode)[0]:
+            vec = view.encode(m)
+            assert len(view.slot_names) == len(vec)
+            for s, (p, c) in enumerate(view.slot_names):
+                assert vec[s] == m[p].count(c)
+
+
 class TestDecode:
     """`CompiledNet.decode` reads every place of every packed marking; that
     must give back the markings the reference firing rule reaches."""

@@ -279,6 +279,18 @@ class TestRoundTrip:
             render_guard(g)
         assert str(exc.value) == "right-nested arithmetic has no textual form"
 
+    @pytest.mark.parametrize("value", [-1.0, float("inf"), float("-inf"), float("nan")])
+    def test_literal_outside_the_grammar_has_no_text(self, value):
+        # the grammar has no unary minus and refuses non-finite numbers
+        with pytest.raises(ValueError) as exc:
+            render_guard(Comparison("<", VarRef("x"), NumLit(value)))
+        assert str(exc.value) == f"number {value!r} has no textual form"
+
+    def test_negative_zero_round_trips(self):
+        g = Comparison("<", VarRef("x"), NumLit(-0.0))
+        assert render_guard(g) == "x < 0"
+        assert parse_guard(render_guard(g)) == g
+
     @given(g=guards)
     def test_error_positions_in_bounds(self, g):
         # corrupt the rendered text and check any error stays within bounds

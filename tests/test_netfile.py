@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from orbitpn import (
@@ -10,7 +12,7 @@ from orbitpn import (
     parse_net,
     validate_net,
 )
-from orbitpn import models
+from orbitpn import cli, models
 import reference
 
 MINIMAL = """
@@ -202,6 +204,23 @@ class TestLoadNet:
         f = tmp_path / "my_model.opn"
         f.write_text("[places]\nP1 +\n")
         assert load_net(f).name == "my_model"
+
+    @pytest.mark.parametrize("name", models.NAMES)
+    def test_byte_order_mark_ignored(self, tmp_path, capsys, name):
+        # as editors write a file saved as "UTF-8 with BOM"
+        path = tmp_path / f"{name}.opn"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(models.model_path(name)).read_bytes())
+        assert load_net(path) == load_net(models.model_path(name))
+        assert cli.main(["validate", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_bad_byte_after_byte_order_mark(self, tmp_path):
+        # the offset counts the mark's 3 bytes, and names the byte found there
+        path = tmp_path / "bom.opn"
+        path.write_bytes(b"\xef\xbb\xbf[colors]\n\xff")
+        with pytest.raises(NetFileError) as exc:
+            load_net(path)
+        assert str(exc.value) == "not UTF-8 text: byte 0xff at byte offset 12"
 
 
 class TestParseMarkingSpec:
