@@ -212,9 +212,6 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     if net.transitions:
         check_mode(mode)
     view = net.compiled
-    # The environment is fixed, so every guard is evaluated once, in
-    # declaration order, as the checks at the first state would: an unbound
-    # variable raises whether or not any transition is token-enabled.
-    live = [k for k in range(len(net.transitions)) if view.guard(k)(env)]
+    live = view.live(env)
     nodes, depths, edges, deadlocks, truncated = view.explore(m0, live, mode, max_depth, max_states)
     return ReachabilityGraph(tuple(nodes), tuple(depths), tuple(edges), tuple(deadlocks), truncated)

@@ -56,7 +56,8 @@ class CompiledNet:
     * ``delta[k]``: the nonzero (slot, d) of the transition's incidence column;
     * ``spans[k]``: (lo, counts) per input arc, sorted by place id: the counts
       it calls at its place's slots from ``lo`` on;
-    * ``guards[k]``: its guard, compiled by `guard` on first use.
+    * ``guards[k]``: its guard as a function (`expr.compile_guard`), compiled
+      with the net.
 
     ``peak`` is the largest count an arc calls, ``rise`` the largest positive
     incidence entry (or 0).  ``conserves`` is whether no column adds tokens
@@ -70,7 +71,7 @@ class CompiledNet:
     """
 
     __slots__ = ("place_ids", "transition_ids", "colors", "column", "width", "offset", "slot_names",
-                 "delta", "spans", "guard_exprs", "guards", "tests", "peak", "rise", "conserves")
+                 "delta", "spans", "guards", "tests", "peak", "rise", "conserves")
 
     def __init__(self, net: Net):
         colors = set(net.colors)
@@ -78,8 +79,6 @@ class CompiledNet:
             colors.update(arc.weight.colors())
         self.place_ids = net.place_ids
         self.transition_ids = net.transition_ids
-        self.guard_exprs = tuple(t.guard for t in net.transitions)
-        self.guards: list[Callable[[Environment], bool] | None] = [None] * len(self.guard_exprs)
         self.tests: dict[tuple[str, int], list] = {}
         self.colors = tuple(sorted(colors))
         self.width = width = len(self.colors) or 1  # a slot per place at least
@@ -111,6 +110,7 @@ class CompiledNet:
                     delta[base[place] + column[color]] += n
             self.delta.append(tuple((s, d) for s, d in sorted(delta.items()) if d))
             self.spans.append(tuple(spans))
+        self.guards = tuple(compile_guard(t.guard) for t in net.transitions)
         self.peak = max((n for spans in self.spans for _, counts in spans for n in counts), default=0)
         self.rise = max((d for column in self.delta for _, d in column if d > 0), default=0)
         self.conserves = all(sum(d for _, d in column) <= 0 for column in self.delta)
@@ -173,13 +173,14 @@ class CompiledNet:
             out.append(marking)
         return out
 
-    def guard(self, k: int) -> Callable[[Environment], bool]:
-        """The guard of the k-th transition as a function (`expr.compile_guard`),
-        compiled on first use."""
-        fn = self.guards[k]
-        if fn is None:
-            fn = self.guards[k] = compile_guard(self.guard_exprs[k])
-        return fn
+    def live(self, env: Environment) -> list[int]:
+        """The indices of the transitions whose guards hold under `env`, in order.
+
+        Every guard is evaluated once, in declaration order, before any token
+        test, so an unbound variable raises whether or not any transition is
+        token-enabled: the one rule of every analysis that holds the
+        environment fixed."""
+        return [k for k, guard in enumerate(self.guards) if guard(env)]
 
     def token_tests(self, mode: str, size: int) -> list:
         """`token_test` of every transition, in declaration order; built once

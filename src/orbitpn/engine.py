@@ -17,7 +17,7 @@ Every bundled model behaves identically under both modes.
 All of it runs on the compiled net (`Net.compiled`): a marking is one packed
 int (`CompiledNet.pack`), each transition's token test is built once per
 mode and field size (`CompiledNet.token_tests`), a firing adds a packed
-incidence column and each guard is compiled to a Python function.
+incidence column and each guard is a Python function compiled with the net.
 `enabling_failure` reads the same view to say what failed.
 """
 
@@ -53,9 +53,7 @@ class Trace(Record):
     __slots__ = __match_args__ = ("net_name", "initial", "events")
 
     def __init__(self, net_name: str, initial: Marking, events=()):
-        object.__setattr__(self, "net_name", net_name)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "events", tuple(events))
+        super().__init__(net_name, initial, tuple(events))
 
     @property
     def final(self) -> Marking:
@@ -74,7 +72,7 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     check_mode(mode)
     k = net.transition_index[net.transition(t).id]  # KeyError names an unknown t
     view = net.compiled
-    guard_ok = view.guard(k)(env)
+    guard_ok = view.guards[k](env)
     vec = view.encode(m)
     spans = view.spans[k]
     if not spans:
@@ -118,7 +116,7 @@ def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") ->
     if net.transitions:
         check_mode(mode)
     view = net.compiled
-    live = [k for k in range(len(net.transitions)) if view.guard(k)(env)]
+    live = view.live(env)
     packed, size = view.pack(view.encode(m))
     tests = view.token_tests(mode, size)
     return [view.transition_ids[k] for k in live if tests[k](packed)]
@@ -145,7 +143,7 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
     packed = [m]
     for t, env in zip(seq, envs):
         k = net.transition_index.get(t)
-        move = k is not None and view.guard(k)(env) and tests[k](m)
+        move = k is not None and view.guards[k](env) and tests[k](m)
         if not move:
             break
         m += move[1]
@@ -187,8 +185,8 @@ def simulate(net: Net, m0: Marking, env: Environment, steps: int,
     fired, packed = [], [m]
     for _ in range(steps):
         fired_any = False
-        for k, test in enumerate(tests):
-            move = view.guard(k)(env) and test(m)
+        for guard, test in zip(view.guards, tests):
+            move = guard(env) and test(m)
             if move:
                 t, delta = move
                 m += delta

@@ -98,6 +98,8 @@ TRUE = TrueLiteral()
 MAX_GUARD_DEPTH = 100
 _TOO_DEEP = f"guard nested more than {MAX_GUARD_DEPTH} levels deep"
 
+#: A name in either language: a color, a place or transition id, a variable.
+IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _KEYWORDS = {"true", "and", "or", "not"}
 
 # the only operator texts that reach a compiled guard's source; another one
@@ -332,7 +334,10 @@ def _render_num(e: NumExpr) -> str:
             raise ValueError(f"number {v!r} has no textual form")
         return str(int(v)) if v == int(v) else repr(v)
     if isinstance(e, VarRef):
-        return e.name
+        name = e.name
+        if not isinstance(name, str) or not IDENT_RE.match(name) or name in _KEYWORDS:
+            raise ValueError(f"variable {name!r} has no textual form")
+        return name
     # numeric grouping is not in the grammar, so only left-nested trees render
     if isinstance(e.rhs, Arith):
         raise ValueError("right-nested arithmetic has no textual form")
@@ -385,7 +390,7 @@ def compile_guard(g: GuardExpr) -> Callable[[Mapping[str, float]], bool]:
     indexed, never written into the source.
     """
     walk = _GuardSource()
-    result = walk.guard(g)
+    result = walk.boolean(g)
     names = walk.names
     reads = [f"    try:\n        v{i} = float(env[_n[{i}]])\n"
              f"    except KeyError:\n        raise _unbound(_n[{i}]) from None"
@@ -427,16 +432,16 @@ class _GuardSource:
         self.body.append(f"    x{len(self.body)} = {expression}")
         return f"x{len(self.body) - 1}"
 
-    def guard(self, e: GuardExpr) -> str:
+    def boolean(self, e: GuardExpr) -> str:
         if isinstance(e, TrueLiteral):
             return "True"
         if isinstance(e, Comparison):
             lhs, rhs = self.num(e.lhs), self.num(e.rhs)
             return self.node(f"{lhs} {_COMPARE[e.op]} {rhs}")
         if isinstance(e, NotExpr):
-            return self.node(f"not {self.guard(e.operand)}")
+            return self.node(f"not {self.boolean(e.operand)}")
         if isinstance(e, (AndExpr, OrExpr)):
-            lhs, rhs = self.guard(e.lhs), self.guard(e.rhs)
+            lhs, rhs = self.boolean(e.lhs), self.boolean(e.rhs)
             return self.node(f"{lhs} {'and' if isinstance(e, AndExpr) else 'or'} {rhs}")
         raise TypeError(f"not a guard expression: {e!r}")
 

@@ -15,14 +15,11 @@ plain data; its arcs are grouped per transition only in `Net.compiled`.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .expr import TRUE
+from .expr import IDENT_RE, TRUE
 from .multiset import FrozenMap, Multiset, Record
-
-IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 _EMPTY = Multiset()
 

@@ -174,7 +174,7 @@ def replay(net: Net, doc: dict) -> Marking:
         if i is None:
             raise ReplayError(f"step {step}: unknown transition {t!r}")
         try:
-            move = view.guard(i)(env) and tests[i](m)
+            move = view.guards[i](env) and tests[i](m)
         except UnboundVariableError as err:
             raise ReplayError(f"step {step}: {err}") from None
         if not move:

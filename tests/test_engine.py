@@ -309,6 +309,21 @@ def some_env(data, env, unbind=False):
     return fresh
 
 
+class TestLive:
+    """`CompiledNet.live`, the one live-set rule of every analysis that holds
+    the environment fixed, against the reference guard walk."""
+
+    @given(case=guarded_nets(), data=st.data())
+    def test_live_is_every_guard_in_declaration_order(self, case, data):
+        # with several variables unbound, the first guard in declaration
+        # order that reads one names it
+        net, env = case
+        env = some_env(data, env, unbind=data.draw(st.booleans()))
+        walk = [t.guard for t in net.transitions]
+        assert outcome(net.compiled.live, env) == outcome(
+            lambda: [k for k, g in enumerate(walk) if reference.eval_guard(g, env)])
+
+
 class TestMergedPathsAgree:
     """The engine runs on the compiled slots; check fire_sequence, simulate,
     enabled_set, enabling_failure and fire against the reference rules of

@@ -286,6 +286,14 @@ class TestRoundTrip:
             render_guard(Comparison("<", VarRef("x"), NumLit(value)))
         assert str(exc.value) == f"number {value!r} has no textual form"
 
+    @pytest.mark.parametrize("name", ["and", "or", "true", "not", "x y", "1a", "", "a-b", 1])
+    def test_name_outside_the_grammar_has_no_text(self, name):
+        # a keyword or non-identifier would parse back as another tree (a-b
+        # as a - b) or not at all
+        with pytest.raises(ValueError) as exc:
+            render_guard(Comparison("<", VarRef(name), NumLit(1.0)))
+        assert str(exc.value) == f"variable {name!r} has no textual form"
+
     def test_negative_zero_round_trips(self):
         g = Comparison("<", VarRef("x"), NumLit(-0.0))
         assert render_guard(g) == "x < 0"

@@ -11,11 +11,13 @@ from orbitpn import (
     Marking,
     Multiset,
     Net,
+    NumLit,
     OrExpr,
     Place,
     SignedMultiset,
     Transition,
     apply_state_equation,
+    check_reachability_condition,
     enabled_set,
     fire,
     incidence_matrix,
@@ -171,6 +173,23 @@ class TestValidateNet:
                     lambda: net.compiled):
             with pytest.raises(ValueError, match="^place 'P1': duplicate id$"):
                 use()
+
+    def test_malformed_guard_is_a_type_error_in_use(self):
+        # a hand-built tree that is not a guard is refused when the net is
+        # compiled, also by analyses that never evaluate a guard; a duplicate
+        # arc is still reported before it
+        net = Net("bad_guard", ("x",), (Place("P1", 1),), (Transition("t1", NumLit(1.0)),),
+                  (Arc("P1", "t1", Multiset(["x"])), Arc("t1", "P1", Multiset(["x"]))),
+                  Marking({"P1": ["x"]}))
+        m = net.initial_marking
+        for use in (lambda: incidence_matrix(net), lambda: check_reachability_condition(net, m, m, 1),
+                    lambda: reachability_graph(net, m, {}, 2, 10)):
+            with pytest.raises(TypeError) as exc:
+                use()
+            assert str(exc.value) == "not a guard expression: NumLit(value=1.0)"
+        dup = replace_net(net, arcs=net.arcs + net.arcs[:1])
+        with pytest.raises(ValueError, match="^arc P1->t1: duplicate arc$"):
+            incidence_matrix(dup)
 
     @given(net=nets())
     def test_generated_nets_valid(self, net):
