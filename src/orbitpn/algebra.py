@@ -112,11 +112,13 @@ def check_reachability_condition(net: Net, m0: Marking, md: Marking,
                                  max_total_firings: int) -> tuple[int, ...] | None:
     """Search for a firing-count witness X with Md - M0 = A*X.
 
-    Exhaustively enumerates nonnegative integer vectors with at most
-    `max_total_firings` total firings and returns the lexicographically least
-    solution, or None when no vector within the bound works.  A witness only
-    certifies the necessary condition; absence certifies unreachability only
-    up to the bound.  Guards are ignored: this is pure algebra.
+    Tries the nonnegative integer vectors with at most `max_total_firings`
+    total firings in lexicographic order and returns the least solution, or
+    None when none works.  With no witness it tries all C(max_total_firings
+    + n, n) of them for n transitions, with no cap yet: 721,801 on a fan of
+    1,200 transitions (P0 -> t_i -> P1) at bound 2 (ROADMAP item 3).  A
+    witness only certifies the necessary condition; absence certifies
+    unreachability only up to the bound.  Guards are ignored: this is pure algebra.
 
     Candidates are tested by running residuals, Md - M0 - A*X per slot of the
     compiled net, which each step updates by the columns of `CompiledNet.delta`

@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="marking spec like 'P5=A+C; P6=B+D' (omitted places empty)")
     p.add_argument("--bound", type=int, required=True,
-                   help="maximum total number of firings to enumerate")
+                   help="maximum total firings to enumerate: up to C(bound+n, n) count vectors for n "
+                        "transitions, with no cap yet (721,801 for 1,200 transitions at --bound 2)")
     p.add_argument("--confirm", action="store_true",
                    help="also search the reachability graph for the target")
     p.add_argument("--env", action="append", metavar="NAME=VALUE[,NAME=VALUE...]",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from itertools import groupby, repeat
-from operator import attrgetter
+from operator import attrgetter, ge
 from typing import Callable, Sequence
 
 from .expr import compile_guard
@@ -157,7 +157,7 @@ class CompiledNet:
         places = [(pid, 8 * step * i) for i, pid in enumerate(self.place_ids)]
         shared: dict[int, Multiset] = {}
         out: list[Marking] = []
-        new, fill = object.__new__, Marking._map.__set__  # `Marking._of`, without its call
+        new, fill = object.__new__, Marking._map.__set__  # the one path past `Marking.__init__`
         for m in packed:
             assignment = {}
             for pid, shift in places:
@@ -203,10 +203,10 @@ class CompiledNet:
         The guard is not evaluated here.  A transition without input arcs is
         never enabled; every input place holds a token; in subset mode each
         arc's call is within its place, and in exact mode each place holds
-        exactly what its arc calls.  `engine.enabling_failure` reads the same
-        `spans` to name the failed condition.  Subset mode sets every field's
-        clear top bit and subtracts the calls: a top bit stays set just where
-        the count covers the call.
+        exactly what its arc calls.  `refusal` reads the same `spans` to name
+        the failed condition.  Subset mode sets every field's clear top bit and
+        subtracts the calls: a top bit stays set just where the count covers
+        the call.
         """
         spans = self.spans[k]
         if not spans or mode == "exact" and not all(any(counts) for _, counts in spans):
@@ -224,6 +224,25 @@ class CompiledNet:
         occupied = tuple(place << bits * lo for lo, counts in spans if not any(counts))
         return lambda m: move if ((m | top) - calls) & top == top and (
             not occupied or all(m & p for p in occupied)) else None
+
+    def refusal(self, k: int, vec: Sequence[int], mode: str) -> str | None:
+        """Why `token_test` fails for the k-th transition at the slot counts `vec`
+        (`encode`), or None; no guard is read.  The first input arc (`spans`, by
+        place id) that fails is named by its place, its calls and what it holds."""
+        spans = self.spans[k]
+        if not spans:
+            return "no input arcs (source transitions are never enabled)"
+        for lo, counts in spans:
+            held = tuple(vec[lo:lo + len(counts)])
+            if any(held) and (held == counts if mode == "exact" else all(map(ge, held, counts))):
+                continue
+            place = self.slot_names[lo][0]
+            if not any(held):
+                return f"input place {place!r} is empty"
+            called, holds = (Multiset(dict(zip(self.colors, n))) for n in (counts, held))
+            what = "token calling unsatisfied" if mode == "subset" else "exact-mode mismatch"
+            return f"{what} at {place!r}: arc calls {called}, place holds {holds}"
+        return None
 
     def explore(self, start: Marking, live: Sequence[int], mode: str,
                 max_depth: int, max_states: int):

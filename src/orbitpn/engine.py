@@ -18,17 +18,17 @@ All of it runs on the compiled net (`Net.compiled`): a marking is one packed
 int (`CompiledNet.pack`), each transition's token test is built once per
 mode and field size (`CompiledNet.token_tests`), a firing adds a packed
 incidence column and each guard is a Python function compiled with the net.
-`enabling_failure` reads the same view to say what failed.
+`enabling_failure` asks the same view (`CompiledNet.refusal`) what failed.
 """
 
 from __future__ import annotations
 
-from operator import ge, index
+from operator import index
 from typing import Sequence
 
 from .core import check_mode
 from .model import Environment, Marking, Net
-from .multiset import Multiset, Record
+from .multiset import Record
 
 
 class NotEnabledError(RuntimeError):
@@ -66,30 +66,14 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
 
     The guard is always evaluated, even when token calling already fails, so
     an unbound environment variable surfaces as an error rather than being
-    masked by a structural refusal.  The first input arc (`CompiledNet.spans`,
-    by place id) that fails is named by its place and calls, read off the view.
+    masked by a structural refusal.  A failed token test is named by the
+    view (`CompiledNet.refusal`) before a false guard.
     """
     check_mode(mode)
     k = net.transition_index[net.transition(t).id]  # KeyError names an unknown t
     view = net.compiled
     guard_ok = view.guards[k](env)
-    vec = view.encode(m)
-    spans = view.spans[k]
-    if not spans:
-        return "no input arcs (source transitions are never enabled)"
-    for lo, counts in spans:
-        held = vec[lo:lo + len(counts)]
-        if any(held) and (held == counts if mode == "exact" else all(map(ge, held, counts))):
-            continue
-        place = view.slot_names[lo][0]
-        if not any(held):
-            return f"input place {place!r} is empty"
-        called = Multiset({color: n for (_, color), n in zip(view.slot_names[lo:], counts)})
-        what = "token calling unsatisfied" if mode == "subset" else "exact-mode mismatch"
-        return f"{what} at {place!r}: arc calls {called}, place holds {m[place]}"
-    if not guard_ok:
-        return "guard is false"
-    return None
+    return view.refusal(k, view.encode(m), mode) or (None if guard_ok else "guard is false")
 
 
 def enabled(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset") -> bool:

@@ -59,13 +59,6 @@ class Marking(FrozenMap):
                 acc[place] = ms
         object.__setattr__(self, "_map", acc)
 
-    @classmethod
-    def _of(cls, assignment: dict[str, Multiset]) -> "Marking":
-        """A marking over `assignment` as given: every value a non-empty `Multiset`."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "_map", assignment)
-        return m
-
     def __getitem__(self, place: str) -> Multiset:
         return self._map.get(place, _EMPTY)
 
@@ -90,9 +83,8 @@ class Net(Record):
     _defaults = {"initial_marking": Marking()}
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        for name in ("colors", "places", "transitions", "arcs"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        name, colors, places, transitions, arcs, marking = self._complete(args, kwargs)
+        super().__init__(name, tuple(colors), tuple(places), tuple(transitions), tuple(arcs), marking)
 
     @property
     def order(self) -> int:

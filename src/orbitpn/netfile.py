@@ -145,8 +145,7 @@ def parse_net(text: str, default_name: str = "net") -> Net:
         except expr.ParseError as err:
             raise _reraise(err, line_no, f"marking of {pid!r}") from None
 
-    return Net(name, tuple(colors), tuple(places), tuple(transitions), tuple(arcs),
-               Marking._of(assignment))
+    return Net(name, colors, places, transitions, arcs, Marking(assignment))
 
 
 def read_net(path) -> Net:

@@ -62,8 +62,8 @@ def _weight(place, text, parse, where: str):
 
 
 def _marking(entries: dict, parse, where: str) -> Marking:
-    """The marking of (place, text) `entries`; parsed weights are never empty."""
-    return Marking._of({place: _weight(place, text, parse, where) for place, text in entries.items()})
+    """The marking of (place, text) `entries`."""
+    return Marking({place: _weight(place, text, parse, where) for place, text in entries.items()})
 
 
 def _env_field(record: dict, step: int) -> dict[str, float]:

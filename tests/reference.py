@@ -417,7 +417,7 @@ def _marking_field(record: dict, key: str, parse, step: int | None = None) -> Ma
             assignment[place] = parse(text)
         except expr.ParseError as err:
             raise ReplayError(f"{where}: {err}") from None
-    return Marking._of(assignment)  # parsed weights are never empty
+    return Marking(assignment)
 
 
 def _env_field(record: dict, step: int) -> dict[str, float]:

@@ -324,6 +324,30 @@ class TestLive:
             lambda: [k for k, g in enumerate(walk) if reference.eval_guard(g, env)])
 
 
+class TestRefusal:
+    """`CompiledNet.refusal`, the named form of the token test, against the
+    packed form of the same rule (`CompiledNet.token_tests`)."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(case=live_nets(), data=st.data())
+    def test_refusal_agrees_with_token_test(self, mode, case, data):
+        # every transition, at the start and after a few enabled firings;
+        # the draws hold arcs calling no tokens and transitions without input
+        # arcs.  Fields are sized for one firing, so the successor fits them.
+        net, _ = case
+        view, m = net.compiled, net.initial_marking
+        for _ in range(data.draw(st.integers(1, 4))):
+            vec = view.encode(m)
+            packed, size = view.pack(vec, 1)
+            moves = [test(packed) for test in view.token_tests(mode, size)]
+            assert [view.refusal(k, vec, mode) is None for k in range(len(moves))] == [
+                move is not None for move in moves]
+            moves = [move for move in moves if move]
+            if not moves:
+                break
+            m = view.decode([packed + data.draw(st.sampled_from(moves))[1]], size)[0]
+
+
 class TestMergedPathsAgree:
     """The engine runs on the compiled slots; check fire_sequence, simulate,
     enabled_set, enabling_failure and fire against the reference rules of
