@@ -102,8 +102,8 @@ _TOO_DEEP = f"guard nested more than {MAX_GUARD_DEPTH} levels deep"
 IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _KEYWORDS = {"true", "and", "or", "not"}
 
-# the only operator texts that reach a compiled guard's source; another one
-# is a KeyError
+# the only operator texts that reach a compiled guard's source; another one,
+# found among the values so that none is hashed, is a TypeError there
 _COMPARE = {op: op for op in ("<", "<=", ">", ">=", "==", "!=")}
 
 # Each match is one token after any whitespace: a number, a name, an
@@ -338,6 +338,8 @@ def _render_num(e: NumExpr) -> str:
         if not isinstance(name, str) or not IDENT_RE.match(name) or name in _KEYWORDS:
             raise ValueError(f"variable {name!r} has no textual form")
         return name
+    if not isinstance(e, Arith) or e.op not in ("+", "-"):
+        raise ValueError(f"{e!r} has no textual form")
     # numeric grouping is not in the grammar, so only left-nested trees render
     if isinstance(e.rhs, Arith):
         raise ValueError("right-nested arithmetic has no textual form")
@@ -354,7 +356,9 @@ def render_guard(g: GuardExpr) -> str:
 
 def _render_bool(node: GuardExpr, floor: int) -> str:
     """`node`'s text, in parentheses if its operator binds more loosely than `floor`."""
-    level = _LEVEL[type(node)]
+    level = _LEVEL.get(type(node))
+    if level is None or isinstance(node, Comparison) and node.op not in _COMPARE.values():
+        raise ValueError(f"{node!r} has no textual form")
     if isinstance(node, TrueLiteral):
         text = "true"
     elif isinstance(node, Comparison):
@@ -425,6 +429,8 @@ class _GuardSource:
             if e.name not in self.names:
                 self.names.append(e.name)
             return f"v{self.names.index(e.name)}"
+        if not isinstance(e, Arith) or e.op not in ("+", "-"):
+            raise TypeError(f"not a numeric expression: {e!r}")
         lhs, rhs = self.num(e.lhs), self.num(e.rhs)
         return self.node(f"{lhs} {'+' if e.op == '+' else '-'} {rhs}")
 
@@ -435,7 +441,7 @@ class _GuardSource:
     def boolean(self, e: GuardExpr) -> str:
         if isinstance(e, TrueLiteral):
             return "True"
-        if isinstance(e, Comparison):
+        if isinstance(e, Comparison) and e.op in _COMPARE.values():
             lhs, rhs = self.num(e.lhs), self.num(e.rhs)
             return self.node(f"{lhs} {_COMPARE[e.op]} {rhs}")
         if isinstance(e, NotExpr):

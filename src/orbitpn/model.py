@@ -122,7 +122,8 @@ def validate_net(net: Net) -> list[str]:
 
     An empty list means the net is well-formed: identifiers are legal and
     unique, arcs are bipartite and unduplicated, every weight and marking
-    refers only to declared colors and places.
+    refers only to declared colors and places.  Guard trees are not walked:
+    a malformed hand-built one is the `TypeError` raised when the net compiles.
     """
     violations: list[str] = []
 

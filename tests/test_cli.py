@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,8 +10,7 @@ from orbitpn import Marking, cli, engine, models, trace_io
 from orbitpn.netfile import load_net
 import reference
 from conftest import FAN_WIDTH
-
-ROOT = Path(__file__).resolve().parents[1]
+from test_cli_transcript import ROOT, check
 
 SATSAT_ARGS = [
     "--env", "collision_prob=0.5,T1=5,eps=1",
@@ -27,18 +25,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def replays(command):
+    """A test that the transcript block of `command`, which holds what the test
+    of this name once asserted, replays unchanged."""
+    def test(self, monkeypatch):
+        check(command, monkeypatch)
+    return test
+
+
 class TestValidate:
     @pytest.mark.parametrize("name", models.NAMES)
-    def test_bundled_nets_ok(self, capsys, name):
-        code, out, err = run(capsys, "validate", models.model_path(name))
-        assert code == 0
-        assert "OK" in out
+    def test_bundled_nets_ok(self, monkeypatch, name):
+        check(f"validate src/orbitpn/models/{name}.opn", monkeypatch)
 
-    def test_report_includes_order_and_signs(self, capsys):
-        code, out, _ = run(capsys, "validate", models.model_path("debris_disposal"))
-        assert code == 0
-        assert "order: 4" in out
-        assert "P1 (+)" in out and "P2 (-)" in out
+    test_report_includes_order_and_signs = replays("validate src/orbitpn/models/debris_disposal.opn")
 
     def test_corrupted_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.opn"
@@ -102,19 +102,9 @@ class TestFire:
         assert doc["final"] == {"P1": "x", "P2": "y"}
         assert doc["events"][0]["marking"] == {"P1": "y", "P2": "x"}
 
-    def test_debris_final_marking(self, capsys):
-        code, out, _ = run(
-            capsys, "fire", models.model_path("debris_disposal"),
-            "--seq", "t1,t2,t3", "--env", "collision_prob=0.5",
-        )
-        assert code == 0
-        assert "final marking: P1=S" in out
-
-    def test_swap_composed_with_itself_is_identity(self, capsys):
-        code, out, _ = run(capsys, "fire", models.model_path("swap_infinite"),
-                           "--seq", "t1,t2")
-        assert code == 0
-        assert "final marking: P1=x, P2=y" in out
+    test_debris_final_marking = replays(
+        "fire src/orbitpn/models/debris_disposal.opn --seq t1,t2,t3 --env collision_prob=0.5")
+    test_swap_composed_with_itself_is_identity = replays("fire src/orbitpn/models/swap_infinite.opn --seq t1,t2")
 
     def test_not_enabled_exit_1_with_prefix(self, capsys, tmp_path):
         out_file = tmp_path / "trace.json"
@@ -128,34 +118,13 @@ class TestFire:
         doc = json.loads(out_file.read_text())
         assert doc["final"] == {"P1": "y", "P2": "x"}
 
-    def test_guard_blocked_reports_reason(self, capsys):
-        code, _, err = run(
-            capsys, "fire", models.model_path("satellite_swap"),
-            "--seq", "t1", "--env", "collision_prob=0,T1=5,eps=1,clock=5",
-        )
-        assert code == 1
-        assert "guard is false" in err
-
-    def test_unknown_transition_usage_error(self, capsys):
-        code, _, err = run(capsys, "fire", models.model_path("swap_infinite"),
-                           "--seq", "t9")
-        assert code == 2
-
-    def test_unbound_guard_variable_usage_error(self, capsys):
-        code, _, err = run(capsys, "fire", models.model_path("satellite_swap"),
-                           "--seq", "t1", "--env", "collision_prob=0.5")
-        assert code == 2
-        assert "clock" in err or "T1" in err
-
-    def test_bad_env_value(self, capsys):
-        code, _, err = run(capsys, "fire", models.model_path("swap_infinite"),
-                           "--seq", "t1", "--env", "clock=abc")
-        assert code == 2
-
-    def test_env_at_out_of_range(self, capsys):
-        code, _, err = run(capsys, "fire", models.model_path("swap_infinite"),
-                           "--seq", "t1", "--env-at", "3:clock=1")
-        assert code == 2
+    test_guard_blocked_reports_reason = replays(
+        "fire src/orbitpn/models/satellite_swap.opn --seq t1 --env collision_prob=0,T1=5,eps=1,clock=5")
+    test_unknown_transition_usage_error = replays("fire src/orbitpn/models/swap_infinite.opn --seq t9")
+    test_unbound_guard_variable_usage_error = replays(
+        "fire src/orbitpn/models/satellite_swap.opn --seq t1 --env collision_prob=0.5")
+    test_bad_env_value = replays("fire src/orbitpn/models/swap_infinite.opn --seq t1 --env clock=abc")
+    test_env_at_out_of_range = replays("fire src/orbitpn/models/swap_infinite.opn --seq t1 --env-at 3:clock=1")
 
     def test_env_at_accepts_multiple_pairs(self, capsys, tmp_path):
         out_file = tmp_path / "trace.json"
@@ -185,11 +154,7 @@ class TestFire:
         assert "unbound environment variable 'eps'" in err
         assert out == "" and not out_file.exists()
 
-    def test_exact_mode_flag(self, capsys):
-        code, out, _ = run(capsys, "fire", models.model_path("swap_infinite"),
-                           "--seq", "t1,t2", "--mode", "exact")
-        assert code == 0
-        assert "final marking: P1=x, P2=y" in out
+    test_exact_mode_flag = replays("fire src/orbitpn/models/swap_infinite.opn --seq t1,t2 --mode exact")
 
 
 class TestSimulate:
@@ -204,13 +169,7 @@ class TestSimulate:
         doc = json.loads(out_file.read_text())
         assert [e["transition"] for e in doc["events"]] == ["t1", "t2"]
 
-    def test_swap_four_single_steps(self, capsys):
-        code, out, _ = run(capsys, "simulate", models.model_path("swap_infinite"),
-                           "--steps", "4", "--policy", "single")
-        assert code == 0
-        assert "events: 4" in out
-        assert "final marking: P1=x, P2=y" in out
-        assert "deadlock: no" in out
+    test_swap_four_single_steps = replays("simulate src/orbitpn/models/swap_infinite.opn --steps 4 --policy single")
 
     def test_deadlocked_net_zero_events(self, capsys, tmp_path):
         quiet = tmp_path / "quiet.opn"
@@ -223,43 +182,35 @@ class TestSimulate:
         assert "events: 0" in out
         assert "deadlock: yes" in out
 
-    def test_guard_blocked_simulation_is_a_clean_deadlock(self, capsys):
-        code, out, _ = run(
-            capsys, "simulate", models.model_path("debris_disposal"),
-            "--steps", "3", "--env", "collision_prob=0",
-        )
+    test_guard_blocked_simulation_is_a_clean_deadlock = replays(
+        "simulate src/orbitpn/models/debris_disposal.opn --steps 3 --env collision_prob=0")
+
+    def test_thousand_steps_end_at_the_known_marking(self, capsys):
+        # its fields are sized from the token total (one byte), not from 2000 firings
+        code, out, _ = run(capsys, "simulate", models.model_path("swap_infinite"), "--steps", "1000")
         assert code == 0
-        assert "events: 0" in out
-        assert "deadlock: yes" in out
+        assert out.endswith("final marking: P1=x, P2=y\nevents: 2000; deadlock: no\n")
 
 
 class TestBadFlagValues:
     """A malformed flag value is a usage error with a message naming it, and
     exit 2, before anything fires."""
 
-    @pytest.mark.parametrize("argv, message", [
-        (["fire", "--seq", "t1", "--env", "clock"], "expected name=value, got 'clock'"),
-        (["fire", "--seq", "t1", "--env", "=1"], "expected name=value, got '=1'"),
-        (["fire", "--seq", "t1", "--env", "clock=inf"], "value of 'clock' must be finite"),
-        (["fire", "--seq", "t1", "--env-at", "1"], "expected STEP:name=value, got '1'"),
-        (["fire", "--seq", "t1", "--env-at", "x:clock=1"], "step must be an integer, got 'x'"),
-        (["simulate", "--steps", "-1"], "--steps must be >= 0"),
+    @pytest.mark.parametrize("command", [
+        "fire src/orbitpn/models/swap_infinite.opn --seq t1 --env clock",
+        "fire src/orbitpn/models/swap_infinite.opn --seq t1 --env =1",
+        "fire src/orbitpn/models/swap_infinite.opn --seq t1 --env clock=inf",
+        "fire src/orbitpn/models/swap_infinite.opn --seq t1 --env-at 1",
+        "fire src/orbitpn/models/swap_infinite.opn --seq t1 --env-at x:clock=1",
+        "simulate src/orbitpn/models/swap_infinite.opn --steps -1",
     ], ids=["env-no-equals", "env-no-name", "env-infinite", "env-at-no-step",
             "env-at-step-text", "negative-steps"])
-    def test_usage_error(self, capsys, argv, message):
-        code, out, err = run(capsys, argv[0], models.model_path("swap_infinite"), *argv[1:])
-        assert code == 2
-        assert out == ""
-        assert err == f"usage error: {message}\n"
+    def test_usage_error(self, monkeypatch, command):
+        check(command, monkeypatch)
 
-    def test_empty_env_pairs_are_skipped(self, capsys):
-        path = models.model_path("satellite_swap")
-        plain = run(capsys, "fire", path, "--seq", "t1",
-                    "--env", "collision_prob=0.5,clock=5,T1=5,eps=1")
-        gapped = run(capsys, "fire", path, "--seq", "t1",
-                     "--env", " , collision_prob=0.5,,clock=5", "--env", "T1=5,eps=1,")
-        assert gapped == plain
-        assert plain[0] == 0
+    # the block beside it, with the pairs written without gaps, is the same
+    test_empty_env_pairs_are_skipped = replays(
+        "fire src/orbitpn/models/satellite_swap.opn --seq t1 --env ' , collision_prob=0.5,,clock=5' --env T1=5,eps=1,")
 
 
 BYSTANDER_NET = (
@@ -314,22 +265,8 @@ class TestModeFlag:
 
 
 class TestIncidence:
-    def test_classifier_grid(self, capsys):
-        code, out, _ = run(capsys, "incidence", models.model_path("orbit_classes"))
-        assert code == 0
-        rows = [line.split() for line in out.strip().splitlines()]
-        assert rows[0] == ["t1", "t2"]
-        assert rows[1] == ["P1", "-A", "0"]
-        assert rows[2] == ["P2", "0", "-B"]
-        assert rows[3] == ["P3", "-C", "0"]
-        assert rows[4] == ["P4", "0", "-D"]
-        assert rows[5] == ["P5", "A+C", "0"]
-        assert rows[6] == ["P6", "0", "B+D"]
-
-    def test_satellite_swap_grid(self, capsys):
-        code, out, _ = run(capsys, "incidence", models.model_path("satellite_swap"))
-        assert code == 0
-        assert "y-x" in out and "x-y" in out
+    test_classifier_grid = replays("incidence src/orbitpn/models/orbit_classes.opn")
+    test_satellite_swap_grid = replays("incidence src/orbitpn/models/satellite_swap.opn")
 
     def test_no_arc_net_all_zero(self, capsys, tmp_path):
         bare = tmp_path / "bare.opn"
@@ -338,62 +275,27 @@ class TestIncidence:
         assert code == 0
         assert out.strip().splitlines()[1].split() == ["P1", "0"]
 
-    def test_json_format(self, capsys):
-        code, out, _ = run(capsys, "incidence", models.model_path("debris_disposal"),
-                           "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["places"] == ["P1", "P2", "P3", "P4"]
-        assert payload["transitions"] == ["t1", "t2", "t3"]
-        assert payload["entries"][0] == [{"S": -1}, {"S": 1}, {}]
+    test_json_format = replays("incidence src/orbitpn/models/debris_disposal.opn --format json")
 
 
 class TestReach:
-    def test_classifier_confirmed(self, capsys):
-        code, out, _ = run(
-            capsys, "reach", models.model_path("orbit_classes"),
-            "--target", "P5=A+C; P6=B+D", "--bound", "4", "--confirm",
-        )
-        assert code == 0
-        assert "X = (1, 1)" in out
-        assert "necessary, not sufficient" in out
-        assert "target reached at depth 2" in out
+    test_classifier_confirmed = replays(
+        "reach src/orbitpn/models/orbit_classes.opn --target 'P5=A+C; P6=B+D' --bound 4 --confirm")
+    test_debris_confirmed = replays(
+        "reach src/orbitpn/models/debris_disposal.opn --target P1=S --bound 6 --confirm --env collision_prob=0.5")
+    test_no_witness = replays("reach src/orbitpn/models/swap_infinite.opn --target P1=x+y --bound 6")
+    test_no_witness_with_expect_exit_1 = replays(
+        "reach src/orbitpn/models/swap_infinite.opn --target P1=x+y --bound 6 --expect")
+    # the witness holds, but the guard forbids every firing
+    test_witness_without_executability = replays(
+        "reach src/orbitpn/models/debris_disposal.opn --target P1=S --bound 6 --confirm --env collision_prob=0")
 
-    def test_debris_confirmed(self, capsys):
-        code, out, _ = run(
-            capsys, "reach", models.model_path("debris_disposal"),
-            "--target", "P1=S", "--bound", "6", "--confirm",
-            "--env", "collision_prob=0.5",
-        )
-        assert code == 0
-        assert "X = (1, 1, 1)" in out
-        assert "target reached at depth 3" in out
-
-    def test_no_witness(self, capsys):
-        code, out, _ = run(
-            capsys, "reach", models.model_path("swap_infinite"),
-            "--target", "P1=x+y", "--bound", "6",
-        )
-        assert code == 0
-        assert "no witness" in out
-
-    def test_no_witness_with_expect_exit_1(self, capsys):
-        code, out, _ = run(
-            capsys, "reach", models.model_path("swap_infinite"),
-            "--target", "P1=x+y", "--bound", "6", "--expect",
-        )
-        assert code == 1
-
-    @pytest.mark.parametrize("flags, message", [
-        (["--bound", "-1"], "--bound must be >= 0"),
-        (["--bound", "6", "--confirm", "--max-states", "0"], "--max-states must be >= 1"),
-    ])
-    def test_bad_bound_usage_error(self, capsys, flags, message):
-        code, out, err = run(capsys, "reach", models.model_path("swap_infinite"),
-                             "--target", "P1=x+y", *flags)
-        assert code == 2
-        assert out == ""
-        assert err == f"usage error: {message}\n"
+    @pytest.mark.parametrize("command", [
+        "reach src/orbitpn/models/swap_infinite.opn --target P1=x+y --bound -1",
+        "reach src/orbitpn/models/swap_infinite.opn --target P1=x+y --bound 6 --confirm --max-states 0",
+    ], ids=["flags0---bound must be >= 0", "flags1---max-states must be >= 1"])
+    def test_bad_bound_usage_error(self, monkeypatch, command):
+        check(command, monkeypatch)
 
     def test_more_transitions_than_the_recursion_limit(self, fan_path):
         # the installed `opn` runs `cli.main` as this child does, and an error
@@ -408,17 +310,6 @@ class TestReach:
         assert "Traceback" not in result.stderr
         assert result.stdout.startswith("witness: X = (0, 0, ")
         assert f"t{FAN_WIDTH - 2}=0, t{FAN_WIDTH - 1}=1]" in result.stdout
-
-    def test_witness_without_executability(self, capsys, tmp_path):
-        # the algebraic condition holds, but the guard forbids every firing
-        code, out, _ = run(
-            capsys, "reach", models.model_path("debris_disposal"),
-            "--target", "P1=S", "--bound", "6", "--confirm",
-            "--env", "collision_prob=0",
-        )
-        assert code == 0
-        assert "X = (1, 1, 1)" in out
-        assert "NOT reached" in out
 
 
 class TestTraceDocuments:

@@ -244,16 +244,28 @@ class TestCompileGuard:
         # a variable name or operator from a hand-built tree is data, never code
         g = Comparison("<", VarRef("a]; import os; x = _n[0"), NumLit(1.0))
         assert compile_guard(g)({"a]; import os; x = _n[0": 0.0}) is True
-        with pytest.raises(KeyError):
+        with pytest.raises(TypeError, match="^not a guard expression: Comparison"):
             compile_guard(Comparison("; pass", VarRef("a"), NumLit(1.0)))
 
     def test_refuses_a_tree_that_is_not_a_guard(self):
-        # hand-built trees: a number, or a variable under a connective
-        for g, part in ((NumLit(1.0), "NumLit(value=1.0)"),
-                        (AndExpr(TRUE, VarRef("a")), "VarRef(name='a')")):
+        # hand-built trees that no text parses to: a number, a variable under
+        # a connective, an operator the grammar lacks, a guard as a number
+        for g, message in (
+            (NumLit(1.0), "not a guard expression: NumLit(value=1.0)"),
+            (AndExpr(TRUE, VarRef("a")), "not a guard expression: VarRef(name='a')"),
+            (Comparison("~", VarRef("a"), NumLit(1.0)), "not a guard expression: "
+             "Comparison(op='~', lhs=VarRef(name='a'), rhs=NumLit(value=1.0))"),
+            (Comparison(">", Arith("*", VarRef("a"), NumLit(2.0)), NumLit(5.0)), "not a numeric "
+             "expression: Arith(op='*', lhs=VarRef(name='a'), rhs=NumLit(value=2.0))"),
+            (Comparison(">", Comparison("<", VarRef("a"), NumLit(1.0)), NumLit(0.0)), "not a numeric "
+             "expression: Comparison(op='<', lhs=VarRef(name='a'), rhs=NumLit(value=1.0))"),
+            (Comparison("<", TRUE, NumLit(1.0)), "not a numeric expression: TrueLiteral()"),
+            (Comparison(["<"], VarRef("a"), NumLit(1.0)), "not a guard expression: "
+             "Comparison(op=['<'], lhs=VarRef(name='a'), rhs=NumLit(value=1.0))"),
+        ):
             with pytest.raises(TypeError) as exc:
                 compile_guard(g)
-            assert str(exc.value) == f"not a guard expression: {part}"
+            assert str(exc.value) == message
 
 
 class TestRoundTrip:
@@ -285,6 +297,28 @@ class TestRoundTrip:
         with pytest.raises(ValueError) as exc:
             render_guard(Comparison("<", VarRef("x"), NumLit(value)))
         assert str(exc.value) == f"number {value!r} has no textual form"
+
+    @pytest.mark.parametrize("g, node", [
+        (Comparison("~", VarRef("a"), NumLit(1.0)),
+         "Comparison(op='~', lhs=VarRef(name='a'), rhs=NumLit(value=1.0))"),
+        (Comparison(">", Arith("*", VarRef("a"), NumLit(2.0)), NumLit(5.0)),
+         "Arith(op='*', lhs=VarRef(name='a'), rhs=NumLit(value=2.0))"),
+        (Comparison(">", Comparison("<", VarRef("a"), NumLit(1.0)), NumLit(0.0)),
+         "Comparison(op='<', lhs=VarRef(name='a'), rhs=NumLit(value=1.0))"),
+        (Comparison("<", TRUE, NumLit(1.0)), "TrueLiteral()"),
+        (NumLit(1.0), "NumLit(value=1.0)"),
+        (AndExpr(TRUE, VarRef("a")), "VarRef(name='a')"),
+        (Comparison(["<"], VarRef("a"), NumLit(1.0)),
+         "Comparison(op=['<'], lhs=VarRef(name='a'), rhs=NumLit(value=1.0))"),
+    ], ids=["unknown-comparison", "product", "comparison-as-number", "true-as-number",
+            "number-as-guard", "variable-under-and", "unhashable-comparison"])
+    def test_tree_outside_the_grammar_has_no_text(self, g, node):
+        # an operator the grammar lacks, or a node in a number's place or a
+        # number in a guard's, would not parse back ('a ~ 1', 'a * 2 > 5',
+        # 'a < 1 > 0', 'true and a'); the error names the node
+        with pytest.raises(ValueError) as exc:
+            render_guard(g)
+        assert str(exc.value) == f"{node} has no textual form"
 
     @pytest.mark.parametrize("name", ["and", "or", "true", "not", "x y", "1a", "", "a-b", 1])
     def test_name_outside_the_grammar_has_no_text(self, name):
