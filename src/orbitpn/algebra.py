@@ -211,8 +211,7 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     max_depth, max_states = index(max_depth), index(max_states)
     if max_depth < 0 or max_states < 1:
         raise ValueError("max_depth must be >= 0 and max_states >= 1")
-    if net.transitions:
-        check_mode(mode)
+    check_mode(mode)
     view = net.compiled
     live = view.live(env)
     nodes, depths, edges, deadlocks, truncated = view.explore(m0, live, mode, max_depth, max_states)

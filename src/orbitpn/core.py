@@ -34,7 +34,7 @@ from .multiset import Multiset
 
 
 def check_mode(mode: str) -> None:
-    """Refuse a mode outside `MODES`, for which `token_tests` builds no tests."""
+    """Refuse a mode outside `MODES`; every entry point does so before it builds `token_tests`."""
     if mode not in MODES:
         raise ValueError(f"unknown containment mode {mode!r}; expected one of {MODES}")
 
@@ -178,16 +178,13 @@ class CompiledNet:
 
         Every guard is evaluated once, in declaration order, before any token
         test, so an unbound variable raises whether or not any transition is
-        token-enabled: the one rule of every analysis that holds the
-        environment fixed."""
+        token-enabled: the one rule of `enabled_set`, `simulate`/`step` and
+        `reachability_graph`, which hold the environment fixed."""
         return [k for k, guard in enumerate(self.guards) if guard(env)]
 
     def token_tests(self, mode: str, size: int) -> list:
         """`token_test` of every transition, in declaration order; built once
-        per mode and size, the subset tests sharing one `top`.  Empty for a
-        mode outside `MODES`, which callers refuse (`check_mode`) first."""
-        if mode not in MODES:
-            return []
+        per mode and size, the subset tests sharing one `top`."""
         if (mode, size) not in self.tests:
             top = int.from_bytes((bytes(size - 1) + b"\x80") * self.width * len(self.place_ids), "little")
             self.tests[mode, size] = [self.token_test(k, mode, size, top) for k in range(len(self.spans))]

@@ -19,6 +19,9 @@ int (`CompiledNet.pack`), each transition's token test is built once per
 mode and field size (`CompiledNet.token_tests`), a firing adds a packed
 incidence column and each guard is a Python function compiled with the net.
 `enabling_failure` asks the same view (`CompiledNet.refusal`) what failed.
+The mode is checked before the marking.  A run under one environment reads
+every guard before its first token test (`CompiledNet.live`); `fire_sequence`,
+whose environment varies, reads each guard at its step.
 """
 
 from __future__ import annotations
@@ -93,12 +96,8 @@ def fire(net: Net, m: Marking, t: str, env: Environment, mode: str = "subset") -
 
 
 def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") -> list[str]:
-    """All enabled transitions, in declaration order.
-
-    Every guard is evaluated, in declaration order, before any token test.
-    """
-    if net.transitions:
-        check_mode(mode)
+    """All enabled transitions, in declaration order; every guard is read first."""
+    check_mode(mode)
     view = net.compiled
     live = view.live(env)
     packed, size = view.pack(view.encode(m))
@@ -119,8 +118,7 @@ def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],
     """
     if len(seq) != len(envs):
         raise ValueError(f"sequence has {len(seq)} firings but {len(envs)} environments")
-    if seq:
-        check_mode(mode)
+    check_mode(mode)
     view = net.compiled
     m, size = view.pack(view.encode(m0), len(seq))
     tests = view.token_tests(mode, size)
@@ -145,10 +143,11 @@ def step(net: Net, m: Marking, env: Environment, policy: str = "sweep",
          mode: str = "subset") -> tuple[Marking, list[str]]:
     """One simulation step; returns the new marking and the transitions fired.
 
-    ``sweep`` tries every transition in declaration order, firing each one
-    that is enabled against the current intermediate marking; ``single`` stops
-    after the first firing.  An empty fired list means quiescence (deadlock
-    under the given environment), which is a normal outcome.
+    Every guard is evaluated first, once (`CompiledNet.live`).  ``sweep`` then
+    tries each transition whose guard holds, in declaration order, firing each
+    one that is enabled against the current intermediate marking; ``single``
+    stops after the first firing.  An empty fired list means quiescence
+    (deadlock under the given environment), which is a normal outcome.
     """
     trace = simulate(net, m, env, 1, policy, mode)
     return trace.final, [ev.transition for ev in trace.events]
@@ -156,30 +155,31 @@ def step(net: Net, m: Marking, env: Environment, policy: str = "sweep",
 
 def simulate(net: Net, m0: Marking, env: Environment, steps: int,
              policy: str = "sweep", mode: str = "subset") -> Trace:
-    """Run up to `steps` steps (see `step`), halting early on quiescence."""
+    """Run up to `steps` steps (see `step`) under guards evaluated once, halting on quiescence."""
     if policy not in ("sweep", "single"):
         raise ValueError(f"unknown policy {policy!r}; expected 'sweep' or 'single'")
     steps = index(steps)
-    if steps > 0 and net.transitions:
-        check_mode(mode)
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    check_mode(mode)
     view = net.compiled
-    # a sweep fires each transition at most once
-    m, size = view.pack(view.encode(m0), max(steps, 0) * len(net.transitions))
+    live = view.live(env)
+    # a sweep fires each live transition at most once
+    m, size = view.pack(view.encode(m0), steps * len(live))
     tests = view.token_tests(mode, size)
     fired, packed = [], [m]
     for _ in range(steps):
-        fired_any = False
-        for guard, test in zip(view.guards, tests):
-            move = guard(env) and test(m)
+        before = len(fired)
+        for k in live:
+            move = tests[k](m)
             if move:
                 t, delta = move
                 m += delta
                 fired.append(t)
                 packed.append(m)
-                fired_any = True
                 if policy == "single":
                     break
-        if not fired_any:
+        if len(fired) == before:
             break
     return _chain(net, m0, packed, size, fired, [env] * len(fired))
 

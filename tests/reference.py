@@ -474,6 +474,8 @@ def replay(net: Net, doc: dict) -> Marking:
                  len(events))
 
     def refire(stop: int) -> Trace:
+        if not stop:  # nothing fires, so the document's mode is never read
+            return Trace(net.name, trace.initial)
         return fire_sequence(net, trace.initial, [ev.transition for ev in events[:stop]],
                              [ev.env_snapshot for ev in events[:stop]], mode)
 

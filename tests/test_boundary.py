@@ -84,18 +84,22 @@ def test_refused_before_a_source_transition_answers(m, message):
 
 @pytest.mark.parametrize("m, message", OUTSIDE, ids=["place", "color"])
 def test_earlier_checks_keep_their_place(satsat_net, satsat_envs, m, message):
-    # the mode, the argument ranges, an unknown transition and, in
-    # enabling_failure, a guard's unbound variable come before the marking
+    # the mode, the argument ranges, an unknown transition and, where the
+    # environment is fixed or in enabling_failure, a guard's unbound
+    # variable come before the marking
     env = satsat_envs[0]
     for call, error in [
         (lambda: enabling_failure(satsat_net, m, "t1", env, "loose"), ValueError),
         (lambda: enabling_failure(satsat_net, m, "t9", env), KeyError),
         (lambda: enabling_failure(satsat_net, m, "t1", {}), UnboundVariableError),
         (lambda: enabled_set(satsat_net, m, env, "loose"), ValueError),
+        (lambda: enabled_set(satsat_net, m, {}), UnboundVariableError),
         (lambda: fire_sequence(satsat_net, m, ["t1"], [env], "loose"), ValueError),
         (lambda: fire_sequence(satsat_net, m, ["t1"], []), ValueError),
         (lambda: simulate(satsat_net, m, env, 1, "both"), ValueError),
         (lambda: simulate(satsat_net, m, env, 1, "sweep", "loose"), ValueError),
+        (lambda: simulate(satsat_net, m, env, -1), ValueError),
+        (lambda: simulate(satsat_net, m, {}, 1), UnboundVariableError),
         (lambda: reachability_graph(satsat_net, m, env, -1, 10), ValueError),
         (lambda: reachability_graph(satsat_net, m, env, 3, 10, "loose"), ValueError),
         (lambda: apply_state_equation(satsat_net, m, (1,)), ValueError),

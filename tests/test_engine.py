@@ -215,6 +215,13 @@ class TestStep:
         with pytest.raises(ValueError):
             step(classes_net, classes_net.initial_marking, {}, policy="both")
 
+    def test_single_reads_every_guard_first(self, satsat_net):
+        # t1 would fire, but t2's guard reads eps, which the environment lacks
+        env = {"collision_prob": 0.5, "clock": 5, "T1": 5}
+        with pytest.raises(UnboundVariableError) as exc:
+            step(satsat_net, satsat_net.initial_marking, env, "single")
+        assert exc.value.name == "eps"
+
 
 class TestSimulate:
     def test_swap_four_single_steps(self, swap_net):
@@ -258,7 +265,8 @@ def assert_one_step_agrees(net, m, t, env, mode):
 
 
 def chained_fire(net, m0, seq, envs, mode):
-    """fire_sequence written as one reference `fire` per step."""
+    """fire_sequence written as one reference `fire` per step, the mode checked first."""
+    reference._check_mode(mode)
     events, m = [], m0
     for k, (t, env) in enumerate(zip(seq, envs), start=1):
         try:
@@ -271,7 +279,11 @@ def chained_fire(net, m0, seq, envs, mode):
 
 
 def chained_simulate(net, m0, env, steps, policy, mode):
-    """simulate written as sweeps of reference `enabled` and `fire`."""
+    """simulate written as sweeps of reference `enabled` and `fire`, after
+    the mode is checked and every guard is read, in declaration order."""
+    reference._check_mode(mode)
+    for t in net.transitions:
+        reference.eval_guard(t.guard, env)
     events, m = [], m0
     for _ in range(steps):
         fired_any = False
@@ -453,8 +465,8 @@ class TestMergedPathsAgree:
         assert_one_step_agrees(net, Marking(), "t1", {}, mode)
 
     def test_unknown_mode_matches_chained_fire(self, swap_net):
-        # the mode is checked when the first firing is tried, not before,
-        # whether or not it can be hashed; and no token test is kept for it
+        # the mode is checked up front, even for an empty sequence or 0
+        # steps, whether or not it can be hashed; and no token test is kept for it
         m0 = swap_net.initial_marking
         for mode in ("loose", ["subset"], {"subset": 1}):
             for seq in ([], ["t1"]):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import orbitpn
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -94,6 +96,8 @@ def test_package_surface():
         "print(orbitpn.Net is orbitpn.model.Net, hasattr(orbitpn, 'no_such_name'))\n"
     )
     assert out == "True\nTrue\nTrue False\n"
+    # and, in this process too, dir() lists every one of them
+    assert set(PUBLIC_NAMES) <= set(dir(orbitpn))
 
 
 def _loaded_after(argv: list[str], modules: list[str]) -> list[str]:
