@@ -129,7 +129,7 @@ def validate_net(net: Net) -> list[str]:
 
     seen_colors = set()
     for color in net.colors:
-        if not IDENT_RE.match(color):
+        if not (isinstance(color, str) and IDENT_RE.match(color)):
             violations.append(f"color {color!r}: not a legal identifier")
         if color in seen_colors:
             violations.append(f"color {color!r}: declared more than once")
@@ -137,7 +137,7 @@ def validate_net(net: Net) -> list[str]:
 
     seen_places = set()
     for place in net.places:
-        if not place.id or not IDENT_RE.match(place.id):
+        if not (isinstance(place.id, str) and IDENT_RE.match(place.id)):
             violations.append(f"place {place.id!r}: not a legal identifier")
         if place.id in seen_places:
             violations.append(f"place {place.id!r}: duplicate id")
@@ -147,7 +147,7 @@ def validate_net(net: Net) -> list[str]:
 
     seen_transitions = set()
     for t in net.transitions:
-        if not t.id or not IDENT_RE.match(t.id):
+        if not (isinstance(t.id, str) and IDENT_RE.match(t.id)):
             violations.append(f"transition {t.id!r}: not a legal identifier")
         if t.id in seen_transitions:
             violations.append(f"transition {t.id!r}: duplicate id")
@@ -171,6 +171,9 @@ def validate_net(net: Net) -> list[str]:
         if (arc.source, arc.target) in seen_arcs:
             violations.append(f"{label}: duplicate arc")
         seen_arcs.add((arc.source, arc.target))
+        if not isinstance(arc.weight, Multiset):
+            violations.append(f"{label}: weight {arc.weight!r} is not a multiset")
+            continue
         if not arc.weight:
             violations.append(f"{label}: weight expression is empty")
         for color in arc.weight:

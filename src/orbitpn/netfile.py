@@ -52,8 +52,25 @@ class NetFileError(ValueError):
         self.violations = violations or []
 
 
-def _reraise(err: expr.ParseError, line_no: int, what: str) -> NetFileError:
+def _reraise(err: expr.ParseError, line_no: int | None, what: str) -> NetFileError:
     return NetFileError(f"{what}: {err.message} (column {err.position + 1} of expression)", line_no)
+
+
+def _read_marking(entries, parse) -> Marking:
+    """The marking of (line number or None, `place = weight` text) `entries`."""
+    assignment: dict[str, Multiset] = {}
+    for line_no, line in entries:
+        pid, sep, tokens_text = line.partition("=")
+        pid = pid.strip()
+        if not sep or not pid:
+            raise NetFileError(f"expected '<place id> = <weight expression>', got {line!r}", line_no)
+        if pid in assignment:
+            raise NetFileError(f"place {pid!r} marked twice", line_no)
+        try:
+            assignment[pid] = parse(tokens_text.strip())
+        except expr.ParseError as err:
+            raise _reraise(err, line_no, f"marking of {pid!r}") from None
+    return Marking(assignment)
 
 
 def parse_net(text: str, default_name: str = "net") -> Net:
@@ -132,20 +149,7 @@ def parse_net(text: str, default_name: str = "net") -> Net:
             raise _reraise(err, line_no, f"weight of arc {src}->{dst}") from None
         arcs.append(Arc(src, dst, w))
 
-    assignment: dict[str, Multiset] = {}
-    for line_no, line in sections["marking"]:
-        pid, sep, tokens_text = line.partition("=")
-        pid = pid.strip()
-        if not sep or not pid:
-            raise NetFileError(f"expected '<place id> = <weight expression>', got {line!r}", line_no)
-        if pid in assignment:
-            raise NetFileError(f"place {pid!r} marked twice", line_no)
-        try:
-            assignment[pid] = parse_weight(tokens_text.strip())
-        except expr.ParseError as err:
-            raise _reraise(err, line_no, f"marking of {pid!r}") from None
-
-    return Net(name, colors, places, transitions, arcs, Marking(assignment))
+    return Net(name, colors, places, transitions, arcs, _read_marking(sections["marking"], parse_weight))
 
 
 def read_net(path) -> Net:
@@ -177,22 +181,12 @@ def load_net(path) -> Net:
 
 
 def parse_marking_spec(text: str, colors, place_ids) -> Marking:
-    """Parse a marking literal like "P5 = A+C; P6 = B+D"; omitted places are empty."""
-    assignment: dict[str, Multiset] = {}
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        pid, sep, tokens_text = chunk.partition("=")
-        pid = pid.strip()
-        if not sep or not pid:
-            raise NetFileError(f"expected '<place> = <tokens>', got {chunk!r}")
+    """Parse a marking literal like "P5 = A+C; P6 = B+D": `[marking]` lines
+    joined by `;`, with their errors but no line numbers, and places outside
+    `place_ids` refused; omitted places are empty."""
+    entries = [(None, chunk.strip()) for chunk in text.split(";") if chunk.strip()]
+    m = _read_marking(entries, partial(expr.parse_weight_expr, colors=colors))
+    for pid in m:  # sorted, the order CompiledNet.encode reports in
         if pid not in place_ids:
             raise NetFileError(f"unknown place {pid!r} in marking spec")
-        if pid in assignment:
-            raise NetFileError(f"place {pid!r} assigned twice in marking spec")
-        try:
-            assignment[pid] = expr.parse_weight_expr(tokens_text.strip(), colors)
-        except expr.ParseError as err:
-            raise NetFileError(f"tokens of {pid!r}: {err.message}") from None
-    return Marking(assignment)
+    return m

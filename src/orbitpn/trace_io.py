@@ -119,14 +119,14 @@ def replay(net: Net, doc: dict) -> Marking:
     """Re-fire every event of the document and return the resulting marking.
 
     Raises ReplayError if the document lacks a field, has one of the wrong
-    JSON type, is for another net, has an unknown mode, holds a marking that
-    does not parse, has an `initial` naming a place the net lacks, names an
-    unknown transition, one that is not enabled or one whose guard reads a
-    variable its `env` lacks, or records a marking that differs from what the
-    engine reproduces.  The first fault in this order is reported: the shape
-    of `initial` and its places, then of the events, step by step; a missing
-    or wrong `net`; an unknown `mode`; the replay's faults, step by step;
-    then `final`, its shape or a divergence.
+    JSON type or an event `step` other than its position, is for another net,
+    has an unknown mode, holds a marking that does not parse, has an `initial`
+    naming a place the net lacks, names an unknown transition, one that is not
+    enabled or one whose guard reads a variable its `env` lacks, or records a
+    marking that differs from what the engine reproduces.  The first fault in
+    this order is reported: the shape of `initial` and its places, then of the
+    events, step by step; a missing or wrong `net`; an unknown `mode`; the
+    replay's faults, step by step; then `final`, its shape or a divergence.
 
     One pass reads the events, each event's fields in order, and packs each
     recorded (place, text) once, with `CompiledNet.share`; a second fires them
@@ -150,7 +150,9 @@ def replay(net: Net, doc: dict) -> Marking:
     for k, ev in enumerate(events, start=1):
         if not isinstance(ev, dict):
             raise ReplayError(f"step {k}: event is not a JSON object")
-        step, t = _field(ev, "step", k), _field(ev, "transition", k, str)
+        if type(step := _field(ev, "step", k)) is not int or step != k:  # a bool is no step
+            raise ReplayError(f"step {k}: 'step' is {step!r}, not {k}")
+        t = _field(ev, "transition", k, str)
         env, entries = _env_field(ev, k), _field(ev, "marking", k, dict)
         after = 0
         for place, text in entries.items():
@@ -159,7 +161,7 @@ def replay(net: Net, doc: dict) -> Marking:
                 weight = _weight(place, text, parse, f"step {k}: 'marking'")
                 share = worth[place, text] = view.share(place, weight, size)
             after += share
-        recorded.append((step, t, env, after, entries))
+        recorded.append((t, env, after, entries))
 
     name = _field(doc, "net")
     if name != net.name:
@@ -167,9 +169,9 @@ def replay(net: Net, doc: dict) -> Marking:
     mode = doc.get("mode", "subset")
     if recorded:
         if mode not in MODES:
-            raise ReplayError(f"step {recorded[0][0]}: unknown containment mode {mode!r}")
+            raise ReplayError(f"step 1: unknown containment mode {mode!r}")
         tests = view.token_tests(mode, size)
-    for step, t, env, after, entries in recorded:
+    for step, (t, env, after, entries) in enumerate(recorded, start=1):
         i = net.transition_index.get(t)
         if i is None:
             raise ReplayError(f"step {step}: unknown transition {t!r}")

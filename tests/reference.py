@@ -420,6 +420,14 @@ def _marking_field(record: dict, key: str, parse, step: int | None = None) -> Ma
     return Marking(assignment)
 
 
+def _step_field(record: dict, step: int) -> int:
+    """The event's `step`, or a ReplayError unless it is the int `step`."""
+    value = _field(record, "step", step)
+    if isinstance(value, bool) or not isinstance(value, int) or value != step:
+        raise ReplayError(f"step {step}: 'step' is {value!r}, not {step}")
+    return value
+
+
 def _env_field(record: dict, step: int) -> dict[str, float]:
     """The event's environment as floats, or a ReplayError naming the variable."""
     env = {}
@@ -447,7 +455,7 @@ def trace_from_document(doc: dict, net: Net) -> Trace:
         if not isinstance(ev, dict):
             raise ReplayError(f"step {k}: event is not a JSON object")
         events.append(FiringEvent(
-            step=_field(ev, "step", k),
+            step=_step_field(ev, k),
             transition=_field(ev, "transition", k, str),
             env_snapshot=_env_field(ev, k),
             marking_after=_marking_field(ev, "marking", parse, k),

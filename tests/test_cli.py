@@ -391,6 +391,16 @@ class TestTraceDocuments:
         (lambda doc: doc["events"].append(7), "step 3: event is not a JSON object"),
         (lambda doc: doc["events"][1].update(transition=["t2"]),
          "step 2: 'transition' is not a JSON string"),
+        # a step that is not the event's 1-based position, as an int
+        (lambda doc: doc["events"][1].pop("step"), "step 2: missing 'step'"),
+        (lambda doc: doc["events"][1].update(step=7), "step 2: 'step' is 7, not 2"),
+        (lambda doc: doc["events"][0].update(step="1"), "step 1: 'step' is '1', not 1"),
+        (lambda doc: doc["events"][0].update(step=True), "step 1: 'step' is True, not 1"),
+        (lambda doc: doc["events"][0].update(step=1.0), "step 1: 'step' is 1.0, not 1"),
+        (lambda doc: [doc["events"][0].update(step="banana"), doc["events"][1].update(step=[1])],
+         "step 1: 'step' is 'banana', not 1"),
+        (lambda doc: [doc["events"][1].update(step=[1]), doc["events"][1].update(transition="t9")],
+         "step 2: 'step' is [1], not 2"),
         # a mode or environment the engine refuses
         (lambda doc: doc.update(mode="loose"), "step 1: unknown containment mode 'loose'"),
         (lambda doc: doc.update(mode=["subset"]), "step 1: unknown containment mode ['subset']"),
@@ -407,8 +417,9 @@ class TestTraceDocuments:
             "marking-string", "initial-list", "env-string", "env-list", "events-number",
             "marking-value-number", "final-value-number", "env-value-string", "env-value-huge",
             "event-number",
-            "transition-list", "mode-string", "mode-list", "env-unbound", "outside-added",
-            "outside-changed"])
+            "transition-list", "step-missing", "step-other", "step-string", "step-bool",
+            "step-float", "step-banana", "step-list", "mode-string", "mode-list", "env-unbound",
+            "outside-added", "outside-changed"])
     def test_bad_document_replay_error(self, capsys, tmp_path, damage, message):
         out_file = tmp_path / "trace.json"
         run(

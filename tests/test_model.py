@@ -117,8 +117,16 @@ class TestValidateNet:
          "arc P1->t9: unknown target 't9'"),
         ({"arcs": (Arc("P1", "t1", Multiset(["x", "z"])),)}, "arc P1->t1: weight uses undeclared color 'z'"),
         ({"initial_marking": Marking({"P1": ["x"], "P9": ["x"]})}, "marking: unknown place 'P9'"),
+        # hand-built values of the wrong type, which compiling would refuse
+        ({"places": (Place("P1", 1), Place(3, 1))}, "place 3: not a legal identifier"),
+        ({"places": (Place("P1", 1), Place("", 1))}, "place '': not a legal identifier"),
+        ({"colors": ("x", 5)}, "color 5: not a legal identifier"),
+        ({"transitions": (Transition("t1"), Transition(7))}, "transition 7: not a legal identifier"),
+        ({"arcs": (Arc("P1", "t1", "x"),)}, "arc P1->t1: weight 'x' is not a multiset"),
+        ({"arcs": (Arc("P1", "t1", {"x": 1}),)}, "arc P1->t1: weight {'x': 1} is not a multiset"),
     ], ids=["place-id", "transition-id", "duplicate-transition", "arc-target", "weight-color",
-            "marking-place"])
+            "marking-place", "place-id-int", "place-id-empty", "color-int", "transition-id-int",
+            "weight-string", "weight-dict"])
     def test_single_violation_text(self, changes, message):
         base = Net("one", ("x",), (Place("P1", 1),), (Transition("t1"),),
                    (Arc("P1", "t1", Multiset(["x"])),), Marking({"P1": ["x"]}))

@@ -1,6 +1,8 @@
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from orbitpn import (
     Marking,
@@ -223,6 +225,33 @@ class TestLoadNet:
         assert str(exc.value) == "not UTF-8 text: byte 0xff at byte offset 12"
 
 
+CLASSES_TEXT = Path(models.model_path("orbit_classes")).read_text(encoding="utf-8")
+
+
+@st.composite
+def marking_lines(draw):
+    """`place = weight` lines over orbit_classes' places and colors, some
+    broken: no `=`, no place, an unknown color, a zero coefficient, or a
+    place marked twice.  No line holds a `;` or a `#`."""
+    places, colors = ("P1", "P2", "P3", "P4", "P5", "P6"), ("A", "B", "C", "D")
+    term = st.tuples(st.sampled_from(("", "1", "2", "13")), st.sampled_from(colors))
+    weight = st.lists(term, min_size=1, max_size=3).map(lambda ts: " + ".join(k + c for k, c in ts))
+    pad = st.sampled_from(("", " ", "  "))
+    good = st.builds("{}{}={}{}".format, st.sampled_from(places), pad, pad, weight)
+    bad = st.one_of(
+        st.builds("{} {}".format, st.sampled_from(places), weight),  # no '='
+        st.builds("{}= {}".format, pad, weight),  # no place
+        st.builds("{} = {}+Z".format, st.sampled_from(places), weight),  # unknown color
+        st.builds("{} = 0{}".format, st.sampled_from(places), st.sampled_from(colors)),
+    )
+    lines = draw(st.lists(st.one_of(good, good, bad), max_size=5))
+    marked = [pid for pid in (line.partition("=")[0].strip() for line in lines) if pid in places]
+    if marked and draw(st.booleans()):  # a place marked twice, the second time at a later line
+        again = draw(st.builds("{} = {}".format, st.sampled_from(marked), weight))
+        lines.insert(draw(st.integers(1, len(lines))), again)
+    return lines
+
+
 class TestParseMarkingSpec:
     def test_two_places(self, classes_net):
         m = parse_marking_spec("P5 = A+C; P6 = B+D", classes_net.colors, classes_net.place_ids)
@@ -236,10 +265,10 @@ class TestParseMarkingSpec:
             parse_marking_spec("P9 = A", classes_net.colors, classes_net.place_ids)
 
     @pytest.mark.parametrize("text, message", [
-        ("P5", "expected '<place> = <tokens>', got 'P5'"),
-        (" = A", "expected '<place> = <tokens>', got '= A'"),
-        ("P5 = A; P5 = C", "place 'P5' assigned twice in marking spec"),
-        ("P5 = A+Z", "tokens of 'P5': unknown color 'Z'"),
+        ("P5", "expected '<place id> = <weight expression>', got 'P5'"),
+        (" = A", "expected '<place id> = <weight expression>', got '= A'"),
+        ("P5 = A; P5 = C", "place 'P5' marked twice"),
+        ("P5 = A+Z", "marking of 'P5': unknown color 'Z' (column 3 of expression)"),
     ], ids=["no-equals", "no-place", "twice", "bad-tokens"])
     def test_error_text(self, classes_net, text, message):
         with pytest.raises(NetFileError) as exc:
@@ -250,3 +279,28 @@ class TestParseMarkingSpec:
     def test_multiplicity(self, classes_net):
         m = parse_marking_spec("P5 = 2A", classes_net.colors, classes_net.place_ids)
         assert m["P5"] == Multiset({"A": 2})
+
+    @pytest.mark.parametrize("text, message", [
+        ("P9 = A; P5", "expected '<place id> = <weight expression>', got 'P5'"),
+        ("P9 = A; P8 = B", "unknown place 'P8' in marking spec"),
+    ], ids=["entries-first", "sorted"])
+    def test_unknown_place_checked_last(self, classes_net, text, message):
+        # every entry is read first; then the first unknown place, sorted
+        with pytest.raises(NetFileError) as exc:
+            parse_marking_spec(text, classes_net.colors, classes_net.place_ids)
+        assert str(exc.value) == message
+
+    @given(lines=marking_lines())
+    def test_spec_reads_as_marking_lines(self, classes_net, lines):
+        spec = "; ".join(lines)
+        text = CLASSES_TEXT.partition("[marking]")[0] + "[marking]\n" + "\n".join(lines) + "\n"
+        try:
+            want = parse_net(text).initial_marking
+        except NetFileError as err:
+            with pytest.raises(NetFileError) as exc:
+                parse_marking_spec(spec, classes_net.colors, classes_net.place_ids)
+            assert str(exc.value) == re.sub(r"^line \d+: ", "", str(err))
+            assert exc.value.line is None
+        else:
+            assert parse_marking_spec(spec, classes_net.colors, classes_net.place_ids) == want
+
