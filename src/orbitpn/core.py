@@ -17,19 +17,20 @@ explicit-state generators (K. Wolf, ICATPN 2007), work is local: the BFS
 memoises a token test on its input places' fields.  A marking is unpacked
 only for output, every place read from its own fields.
 
-`Net.compiled` builds a `CompiledNet` on first use.  `engine` and `algebra`
-import this module as they load; `opn validate` never loads it.
+`Net.compiled` builds a `CompiledNet` on first use, and only of a net that
+`validate_net` accepts.  `engine` and `algebra` import this module as they
+load; `opn validate` never loads it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import groupby, repeat
-from operator import attrgetter, ge
+from operator import ge
 from typing import Callable, Sequence
 
 from .expr import compile_guard
-from .model import MODES, Environment, Marking, Net
+from .model import MODES, Environment, Marking, Net, validate_net
 from .multiset import Multiset
 
 
@@ -44,14 +45,11 @@ class CompiledNet:
     arcs (`net.arcs`) per transition.
 
     Slot ``offset[p] + j`` counts ``colors[j]`` at place ``p``; the i-th
-    declared place has offset ``i * width``.  The colors, sorted, are the
-    declared ones and every color on an arc; ``width`` is their number (1 if none).
+    declared place has offset ``i * width``.  The colors are the declared
+    ones, sorted; ``width`` is their number (1 if none).
     ``slot_names[s]`` is the (place id, color) that slot ``s`` counts, color
     None in a net without colors: the one map back from a slot, so the slot
-    layout stays inside this module.
-    An arc is an input of a transition target with a declared place source,
-    and an output of a transition source with a declared place target.  Per
-    transition, in declaration order:
+    layout stays inside this module.  Per transition, in declaration order:
 
     * ``delta[k]``: the nonzero (slot, d) of the transition's incidence column;
     * ``spans[k]``: (lo, counts) per input arc, sorted by place id: the counts
@@ -62,9 +60,9 @@ class CompiledNet:
     ``peak`` is the largest count an arc calls, ``rise`` the largest positive
     incidence entry (or 0).  ``conserves`` is whether no column adds tokens
     (each sums to <= 0: yA <= 0 for y = 1, Murata 1989, section V), so no
-    count ever exceeds a marking's token total.  A place declared twice, or
-    two input (then output) arcs with the same ends, is the ValueError
-    `validate_net` reports.
+    count ever exceeds a marking's token total.  Only a net that
+    `validate_net` accepts compiles: any other is a ValueError of its
+    violations, joined by "; ".
 
     The view holds the net's ids but not the net, so caching it on the `Net`
     makes no reference cycle.
@@ -74,28 +72,23 @@ class CompiledNet:
                  "delta", "spans", "guards", "tests", "peak", "rise", "conserves")
 
     def __init__(self, net: Net):
-        colors = set(net.colors)
-        for arc in net.arcs:
-            colors.update(arc.weight.colors())
+        violations = validate_net(net)
+        if violations:
+            raise ValueError("; ".join(violations))
         self.place_ids = net.place_ids
         self.transition_ids = net.transition_ids
         self.tests: dict[tuple[str, int], list] = {}
-        self.colors = tuple(sorted(colors))
+        self.colors = tuple(sorted(net.colors))
         self.width = width = len(self.colors) or 1  # a slot per place at least
         self.column = column = {c: j for j, c in enumerate(self.colors)}
-        self.offset = base = {}
-        for i, p in enumerate(net.place_ids):
-            if base.setdefault(p, i * width) != i * width:
-                raise ValueError(f"place {p!r}: duplicate id")
+        self.offset = base = {p: i * width for i, p in enumerate(net.place_ids)}
         self.slot_names = tuple((p, c) for p in net.place_ids for c in self.colors or (None,))
         arcs = {t: ({}, {}) for t in net.transition_ids}  # (calls, deposits) by place
-        for side, ends in enumerate((attrgetter("target", "source"), attrgetter("source", "target"))):
-            for arc in net.arcs:
-                t, place = ends(arc)
-                if t in arcs and place in base:
-                    if place in arcs[t][side]:
-                        raise ValueError(f"arc {arc.source}->{arc.target}: duplicate arc")
-                    arcs[t][side][place] = arc.weight
+        for arc in net.arcs:
+            if arc.source in base:  # place -> transition: an input arc
+                arcs[arc.target][0][arc.source] = arc.weight
+            else:
+                arcs[arc.source][1][arc.target] = arc.weight
         self.delta, self.spans = [], []
         for calls, deposits in (arcs[t] for t in net.transition_ids):
             spans, delta = [], defaultdict(int)
@@ -198,29 +191,23 @@ class CompiledNet:
         packed delta column) when the input places hold what the arcs call,
         and to None otherwise; the marking plus the column is the successor.
         The guard is not evaluated here.  A transition without input arcs is
-        never enabled; every input place holds a token; in subset mode each
-        arc's call is within its place, and in exact mode each place holds
-        exactly what its arc calls.  `refusal` reads the same `spans` to name
-        the failed condition.  Subset mode sets every field's clear top bit and
-        subtracts the calls: a top bit stays set just where the count covers
-        the call.
+        never enabled; in subset mode each arc's call is within its place, and
+        in exact mode each place holds exactly what its arc calls.  `refusal`
+        reads the same `spans` to name the failed condition.  Subset mode sets
+        every field's clear top bit and subtracts the calls: a top bit stays
+        set just where the count covers the call.
         """
         spans = self.spans[k]
-        if not spans or mode == "exact" and not all(any(counts) for _, counts in spans):
-            # in exact mode an arc calling no tokens needs a token at its
-            # place, so it never matches exactly
+        if not spans:
             return lambda m: None
         bits = 8 * size
-        place = (1 << bits * self.width) - 1  # the fields of the first place
         move = (self.transition_ids[k], sum(d << bits * slot for slot, d in self.delta[k]))
         calls = sum(n << bits * (lo + j) for lo, counts in spans for j, n in enumerate(counts))
         if mode == "exact":
+            place = (1 << bits * self.width) - 1  # the fields of the first place
             span = sum(place << bits * lo for lo, _ in spans)
             return lambda m: move if m & span == calls else None
-        # an arc calling no tokens still needs a token at its place
-        occupied = tuple(place << bits * lo for lo, counts in spans if not any(counts))
-        return lambda m: move if ((m | top) - calls) & top == top and (
-            not occupied or all(m & p for p in occupied)) else None
+        return lambda m: move if ((m | top) - calls) & top == top else None
 
     def refusal(self, k: int, vec: Sequence[int], mode: str) -> str | None:
         """Why `token_test` fails for the k-th transition at the slot counts `vec`
@@ -231,7 +218,7 @@ class CompiledNet:
             return "no input arcs (source transitions are never enabled)"
         for lo, counts in spans:
             held = tuple(vec[lo:lo + len(counts)])
-            if any(held) and (held == counts if mode == "exact" else all(map(ge, held, counts))):
+            if held == counts if mode == "exact" else all(map(ge, held, counts)):
                 continue
             place = self.slot_names[lo][0]
             if not any(held):

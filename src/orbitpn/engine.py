@@ -73,8 +73,8 @@ def enabling_failure(net: Net, m: Marking, t: str, env: Environment,
     view (`CompiledNet.refusal`) before a false guard.
     """
     check_mode(mode)
-    k = net.transition_index[net.transition(t).id]  # KeyError names an unknown t
     view = net.compiled
+    k = net.transition_index[net.transition(t).id]  # KeyError names an unknown t
     guard_ok = view.guards[k](env)
     return view.refusal(k, view.encode(m), mode) or (None if guard_ok else "guard is false")
 

@@ -10,7 +10,8 @@ Nets are immutable after construction and safe to share between concurrent
 analyses; `Marking` is a value type (operations return new markings).
 Structural rules are checked by `validate_net`, which reports violations
 instead of raising, so partially-built nets can be diagnosed.  A `Net` is
-plain data; its arcs are grouped per transition only in `Net.compiled`.
+plain data; its arcs are grouped per transition only in `Net.compiled`,
+which refuses a net `validate_net` rejects, so every analysis does.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ class Net(Record):
     @cached_property
     def compiled(self):
         """The net over integer (place, color) slots (`core.CompiledNet`), built
-        on first use: runs that never need it do not pay to load `core`."""
+        on first use: runs that never need it do not pay to load `core`.  A
+        ValueError of `validate_net`'s violations if there are any."""
         from .core import CompiledNet
         return CompiledNet(self)
 
@@ -122,8 +124,10 @@ def validate_net(net: Net) -> list[str]:
 
     An empty list means the net is well-formed: identifiers are legal and
     unique, arcs are bipartite and unduplicated, every weight and marking
-    refers only to declared colors and places.  Guard trees are not walked:
-    a malformed hand-built one is the `TypeError` raised when the net compiles.
+    refers only to declared colors and places.  A color, id or arc end that
+    is not a string is illegal or unknown, and joins no duplicate check.
+    Guard trees are not walked: a malformed hand-built one is the
+    `TypeError` raised when a net that passes compiles.
     """
     violations: list[str] = []
 
@@ -131,17 +135,19 @@ def validate_net(net: Net) -> list[str]:
     for color in net.colors:
         if not (isinstance(color, str) and IDENT_RE.match(color)):
             violations.append(f"color {color!r}: not a legal identifier")
-        if color in seen_colors:
-            violations.append(f"color {color!r}: declared more than once")
-        seen_colors.add(color)
+        if isinstance(color, str):
+            if color in seen_colors:
+                violations.append(f"color {color!r}: declared more than once")
+            seen_colors.add(color)
 
     seen_places = set()
     for place in net.places:
         if not (isinstance(place.id, str) and IDENT_RE.match(place.id)):
             violations.append(f"place {place.id!r}: not a legal identifier")
-        if place.id in seen_places:
-            violations.append(f"place {place.id!r}: duplicate id")
-        seen_places.add(place.id)
+        if isinstance(place.id, str):
+            if place.id in seen_places:
+                violations.append(f"place {place.id!r}: duplicate id")
+            seen_places.add(place.id)
         if place.rotation not in (1, -1):
             violations.append(f"place {place.id!r}: rotation must be +1 or -1, got {place.rotation}")
 
@@ -149,18 +155,21 @@ def validate_net(net: Net) -> list[str]:
     for t in net.transitions:
         if not (isinstance(t.id, str) and IDENT_RE.match(t.id)):
             violations.append(f"transition {t.id!r}: not a legal identifier")
-        if t.id in seen_transitions:
-            violations.append(f"transition {t.id!r}: duplicate id")
-        if t.id in seen_places:
-            violations.append(f"transition {t.id!r}: id collides with a place")
-        seen_transitions.add(t.id)
+        if isinstance(t.id, str):
+            if t.id in seen_transitions:
+                violations.append(f"transition {t.id!r}: duplicate id")
+            if t.id in seen_places:
+                violations.append(f"transition {t.id!r}: id collides with a place")
+            seen_transitions.add(t.id)
 
     seen_arcs = set()
     for arc in net.arcs:
-        src_place = arc.source in seen_places
-        src_trans = arc.source in seen_transitions
-        dst_place = arc.target in seen_places
-        dst_trans = arc.target in seen_transitions
+        source = arc.source if isinstance(arc.source, str) else None
+        target = arc.target if isinstance(arc.target, str) else None
+        src_place = source in seen_places
+        src_trans = source in seen_transitions
+        dst_place = target in seen_places
+        dst_trans = target in seen_transitions
         label = f"arc {arc.source}->{arc.target}"
         if not (src_place or src_trans):
             violations.append(f"{label}: unknown source {arc.source!r}")
@@ -168,9 +177,10 @@ def validate_net(net: Net) -> list[str]:
             violations.append(f"{label}: unknown target {arc.target!r}")
         if (src_place and dst_place) or (src_trans and dst_trans):
             violations.append(f"{label}: endpoints must pair one place with one transition")
-        if (arc.source, arc.target) in seen_arcs:
-            violations.append(f"{label}: duplicate arc")
-        seen_arcs.add((arc.source, arc.target))
+        if None not in (source, target):
+            if (source, target) in seen_arcs:
+                violations.append(f"{label}: duplicate arc")
+            seen_arcs.add((source, target))
         if not isinstance(arc.weight, Multiset):
             violations.append(f"{label}: weight {arc.weight!r} is not a multiset")
             continue

@@ -167,10 +167,9 @@ def replay(net: Net, doc: dict) -> Marking:
     if name != net.name:
         raise ReplayError(f"document is for net {name!r}, not {net.name!r}")
     mode = doc.get("mode", "subset")
-    if recorded:
-        if mode not in MODES:
-            raise ReplayError(f"step 1: unknown containment mode {mode!r}")
-        tests = view.token_tests(mode, size)
+    if mode not in MODES:
+        raise ReplayError(f"document: unknown containment mode {mode!r}")
+    tests = view.token_tests(mode, size)
     for step, (t, env, after, entries) in enumerate(recorded, start=1):
         i = net.transition_index.get(t)
         if i is None:

@@ -476,8 +476,8 @@ def replay(net: Net, doc: dict) -> Marking:
         raise ReplayError(f"document is for net {trace.net_name!r}, not {net.name!r}")
     mode = doc.get("mode", "subset")
     events = trace.events
-    if events and mode not in MODES:
-        raise ReplayError(f"step {events[0].step}: unknown containment mode {mode!r}")
+    if mode not in MODES:
+        raise ReplayError(f"document: unknown containment mode {mode!r}")
     known = next((i for i, ev in enumerate(events) if ev.transition not in net.transition_index),
                  len(events))
 

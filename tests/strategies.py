@@ -113,15 +113,13 @@ near_widths = st.sampled_from((7, 8, 15, 16, 31, 40)).flatmap(
 
 @st.composite
 def live_nets(draw):
-    """A random net with random guards, an environment binding every guard
-    variable, and a start marking at which each place holds the tokens one of
-    its input arcs calls (plus, sometimes, the random marking's tokens).
-
-    Some input arcs call no tokens, which `validate_net` rejects but the
-    engine still defines; drawing one makes some places start empty.  Some
-    nets add a count near a field width (`near_widths`) to some counts of
-    their arcs and start marking, so that calls, deposits and held tokens
-    cross every byte width."""
+    """A random well-formed net with random guards, an environment binding
+    every guard variable, and a start marking at which each place holds the
+    tokens one of its input arcs calls (plus, sometimes, the random marking's
+    tokens); a place without input arcs holds the random marking's tokens,
+    so it may start empty.  Some nets add a count near a field width
+    (`near_widths`) to some counts of their arcs and start marking, so that
+    calls, deposits and held tokens cross every byte width."""
     net = draw(nets())
     big = draw(st.none() | near_widths)
 
@@ -130,11 +128,7 @@ def live_nets(draw):
             return w
         return Multiset({c: n + big if draw(st.booleans()) else n for c, n in w.items()})
 
-    net = replace_net(net, arcs=tuple(
-        Arc(a.source, a.target, Multiset())
-        if a.target in net.transition_index and draw(st.integers(0, 3)) == 0
-        else Arc(a.source, a.target, scaled(a.weight))
-        for a in net.arcs))
+    net = replace_net(net, arcs=tuple(Arc(a.source, a.target, scaled(a.weight)) for a in net.arcs))
     marking, inputs = {}, arcs_by_transition(net)[0].values()
     for pid in net.place_ids:
         called = [w for arcs in inputs for p, w in arcs if p == pid]

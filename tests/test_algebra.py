@@ -603,16 +603,17 @@ class TestReachabilityGraph:
                     reachability_graph(swap_net, m0, {}, max_depth, max_states, mode)
 
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("held", [[], ["x"], ["x", "y"]])
-    def test_input_arc_calling_no_tokens(self, mode, held):
-        # an arc calling no tokens needs a token at its place, and in exact
-        # mode it never matches what the place holds
+    def test_input_arc_calling_no_tokens_is_refused(self, mode):
+        # validate_net rejects an arc that calls no tokens, so the search
+        # refuses the net at every bound instead of giving it a firing rule
         net = Net("empty_call", ("x", "y"), (Place("P1", 1), Place("P2", -1)),
                   (Transition("t1"), Transition("t2")),
                   (Arc("P1", "t1", Multiset()), Arc("t1", "P2", Multiset(["y"])),
                    Arc("P2", "t2", Multiset(["y"])), Arc("t2", "P1", Multiset(["x"]))),
-                  Marking({"P1": held}))
-        assert_same_graph(net, net.initial_marking, {}, 4, 100, mode)
+                  Marking({"P1": ["x"]}))
+        for max_depth, max_states in ((0, 1), (4, 100)):
+            with pytest.raises(ValueError, match=r"^arc P1->t1: weight expression is empty$"):
+                reachability_graph(net, net.initial_marking, {}, max_depth, max_states, mode)
 
     def test_unbound_guard_variable_raises_without_tokens(self):
         # t2's guard reads an unbound variable; nothing is token-enabled at m0

@@ -402,8 +402,8 @@ class TestTraceDocuments:
         (lambda doc: [doc["events"][1].update(step=[1]), doc["events"][1].update(transition="t9")],
          "step 2: 'step' is [1], not 2"),
         # a mode or environment the engine refuses
-        (lambda doc: doc.update(mode="loose"), "step 1: unknown containment mode 'loose'"),
-        (lambda doc: doc.update(mode=["subset"]), "step 1: unknown containment mode ['subset']"),
+        (lambda doc: doc.update(mode="loose"), "document: unknown containment mode 'loose'"),
+        (lambda doc: doc.update(mode=["subset"]), "document: unknown containment mode ['subset']"),
         (lambda doc: doc["events"][1]["env"].pop("eps"),
          "step 2: unbound environment variable 'eps'"),
         # a place outside the net: a recording that names one diverges, and
@@ -431,6 +431,18 @@ class TestTraceDocuments:
         damage(doc)
         with pytest.raises(trace_io.ReplayError, match=re.escape(message)):
             trace_io.replay(net, doc)
+
+    @pytest.mark.parametrize("mode", ["loose", ["subset"]], ids=["string", "list"])
+    def test_unknown_mode_without_events(self, mode):
+        # the mode is checked even when no event is fired under it
+        net = models.load("swap_infinite")
+        doc = trace_io.trace_document(net, engine.fire_sequence(net, net.initial_marking, [], []))
+        assert doc["events"] == [] and trace_io.replay(net, doc) == net.initial_marking
+        doc["mode"] = mode
+        for replay in (trace_io.replay, reference.replay):
+            with pytest.raises(trace_io.ReplayError) as exc:
+                replay(net, doc)
+            assert str(exc.value) == f"document: unknown containment mode {mode!r}"
 
     def test_document_not_an_object(self):
         net = models.load("swap_infinite")
@@ -470,7 +482,7 @@ class TestTraceDocuments:
         ([lambda doc: doc.update(net="other"), lambda doc: doc["events"][0].update(marking={"P1": "x"})],
          "document is for net 'other', not 'swap_infinite'"),
         ([lambda doc: doc.update(mode="loose"), lambda doc: doc["events"][0].update(transition="t9")],
-         "step 1: unknown containment mode 'loose'"),
+         "document: unknown containment mode 'loose'"),
         ([lambda doc: doc["events"][1].update(transition="t1"), lambda doc: doc.pop("final")],
          "step 2: transition 't1' not enabled: token calling unsatisfied at 'P1': arc calls x, "
          "place holds y"),

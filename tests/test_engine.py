@@ -344,8 +344,8 @@ class TestRefusal:
     @given(case=live_nets(), data=st.data())
     def test_refusal_agrees_with_token_test(self, mode, case, data):
         # every transition, at the start and after a few enabled firings;
-        # the draws hold arcs calling no tokens and transitions without input
-        # arcs.  Fields are sized for one firing, so the successor fits them.
+        # the draws hold empty places and transitions without input arcs.
+        # Fields are sized for one firing, so the successor fits them.
         net, _ = case
         view, m = net.compiled, net.initial_marking
         for _ in range(data.draw(st.integers(1, 4))):
@@ -437,12 +437,11 @@ class TestMergedPathsAgree:
             chained_simulate, satsat_net, m0, envs[0], 2, "sweep", "subset")
 
     @pytest.mark.parametrize("mode", ("subset", "exact"))
-    def test_empty_call_and_undeclared_bystander(self, mode):
-        # an arc calling no tokens still needs a token at its place; a token
-        # of an undeclared color is outside the net and refused, not a bystander
-        net = Net("empty_call", ("x", "y"), (Place("P1", 1), Place("P2", -1)),
+    def test_undeclared_bystander(self, mode):
+        # a token of an undeclared color is outside the net and refused, not a bystander
+        net = Net("bystander", ("x", "y"), (Place("P1", 1), Place("P2", -1)),
                   (Transition("t1"), Transition("t2")),
-                  (Arc("P1", "t1", Multiset()), Arc("t1", "P2", Multiset(["y"])),
+                  (Arc("P1", "t1", Multiset(["x"])), Arc("t1", "P2", Multiset(["y"])),
                    Arc("P2", "t2", Multiset(["y"])), Arc("t2", "P1", Multiset(["x"]))))
         for held in ([], ["x"], ["x", "y"]):
             m = Marking({"P1": held, "P2": ["y"]})
@@ -457,11 +456,12 @@ class TestMergedPathsAgree:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_net_without_colors(self, mode):
-        # no place can hold a token, so the first input place by id is named
-        # empty: each place keeps a slot range of its own
-        net = Net("colorless", (), (Place("P1", 1), Place("P2", -1)), (Transition("t1"),),
-                  (Arc("P2", "t1", Multiset()), Arc("P1", "t1", Multiset()), Arc("t1", "P2", Multiset())))
-        assert enabling_failure(net, Marking(), "t1", {}, mode) == "input place 'P1' is empty"
+        # no place can hold a token and no arc can call one, yet each place
+        # keeps a slot of its own
+        net = Net("colorless", (), (Place("P1", 1), Place("P2", -1)), (Transition("t1"),), ())
+        assert net.compiled.slot_names == (("P1", None), ("P2", None))
+        assert enabling_failure(net, Marking(), "t1", {}, mode) == (
+            "no input arcs (source transitions are never enabled)")
         assert_one_step_agrees(net, Marking(), "t1", {}, mode)
 
     def test_unknown_mode_matches_chained_fire(self, swap_net):

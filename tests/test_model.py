@@ -47,6 +47,58 @@ def one_shot_swap():
     )
 
 
+@st.composite
+def damaged_nets(draw):
+    """A net from `nets()` with at most one damage of a kind `validate_net` reports."""
+    net = draw(nets())
+    colors, places, transitions, arcs = net.colors, net.places, net.transitions, net.arcs
+    p, q = draw(st.sampled_from(net.place_ids)), draw(st.sampled_from(net.place_ids))
+    t, u = draw(st.sampled_from(net.transition_ids)), draw(st.sampled_from(net.transition_ids))
+    color = draw(st.sampled_from(colors))
+    weight = Multiset([color])
+    marking = dict(net.initial_marking.items())
+    damage = draw(st.sampled_from((
+        None, "place", "transition", "color", "unknown-end", "place-place", "transition-transition",
+        "duplicate-arc", "empty-weight", "undeclared-color", "marking-place", "marking-color",
+        "identifier", "rotation")))
+    if damage == "place":
+        places += (Place(p, 1),)
+    elif damage == "transition":
+        transitions += (Transition(t),)
+    elif damage == "color":
+        colors += (color,)
+    elif damage == "unknown-end":
+        arcs += (draw(st.sampled_from((Arc(p, "t99", weight), Arc("P99", t, weight),
+                                       Arc(t, "P99", weight), Arc("t99", p, weight)))),)
+    elif damage == "place-place":
+        arcs += (Arc(p, q, weight),)
+    elif damage == "transition-transition":
+        arcs += (Arc(t, u, weight),)
+    elif damage == "duplicate-arc":
+        arcs += (Arc(p, t, weight),) * 2 if not arcs else (draw(st.sampled_from(arcs)),)
+    elif damage == "empty-weight":
+        arcs += (draw(st.sampled_from((Arc(p, t, Multiset()), Arc(t, p, Multiset())))),)
+    elif damage == "undeclared-color":
+        arcs += (Arc(p, t, Multiset(["undeclared"])),)
+    elif damage == "marking-place":
+        marking["P99"] = weight
+    elif damage == "marking-color":
+        marking[p] = marking.get(p, Multiset()) + Multiset(["undeclared"])
+    elif damage == "identifier":
+        bad = draw(st.sampled_from(("1x", "", 5, ["x"])))
+        kind = draw(st.sampled_from(("color", "place", "transition")))
+        if kind == "color":
+            colors += (bad,)
+        elif kind == "place":
+            places += (Place(bad, 1),)
+        else:
+            transitions += (Transition(bad),)
+    elif damage == "rotation":
+        places = tuple(Place(s.id, 0) if s.id == p else s for s in places)
+    return replace_net(net, colors=colors, places=places, transitions=transitions, arcs=arcs,
+                       initial_marking=Marking(marking))
+
+
 class TestValidateNet:
     def test_minimal_swap_net_valid(self):
         net = one_shot_swap()
@@ -124,9 +176,17 @@ class TestValidateNet:
         ({"transitions": (Transition("t1"), Transition(7))}, "transition 7: not a legal identifier"),
         ({"arcs": (Arc("P1", "t1", "x"),)}, "arc P1->t1: weight 'x' is not a multiset"),
         ({"arcs": (Arc("P1", "t1", {"x": 1}),)}, "arc P1->t1: weight {'x': 1} is not a multiset"),
+        # a list is reported, not hashed, and joins no duplicate check
+        ({"colors": ("x", ["x"])}, "color ['x']: not a legal identifier"),
+        ({"places": (Place("P1", 1), Place(["P1"], 1))}, "place ['P1']: not a legal identifier"),
+        ({"transitions": (Transition("t1"), Transition(["t1"]))},
+         "transition ['t1']: not a legal identifier"),
+        ({"arcs": (Arc("P1", "t1", Multiset(["x"])), Arc(["P1"], "t1", Multiset(["x"])))},
+         "arc ['P1']->t1: unknown source ['P1']"),
     ], ids=["place-id", "transition-id", "duplicate-transition", "arc-target", "weight-color",
             "marking-place", "place-id-int", "place-id-empty", "color-int", "transition-id-int",
-            "weight-string", "weight-dict"])
+            "weight-string", "weight-dict", "color-list", "place-id-list", "transition-id-list",
+            "arc-source-list"])
     def test_single_violation_text(self, changes, message):
         base = Net("one", ("x",), (Place("P1", 1),), (Transition("t1"),),
                    (Arc("P1", "t1", Multiset(["x"])),), Marking({"P1": ["x"]}))
@@ -149,24 +209,41 @@ class TestValidateNet:
         assert "duplicate arc" in messages
         assert "weight expression is empty" in messages
 
-    @pytest.mark.parametrize("arcs, label", [
-        ((Arc("P1", "t1", Multiset(["x"])), Arc("P1", "t1", Multiset(["y"]))), "arc P1->t1"),
+    @pytest.mark.parametrize("arcs, message", [
+        ((Arc("P1", "t1", Multiset(["x"])), Arc("P1", "t1", Multiset(["y"]))), "arc P1->t1: duplicate arc"),
         ((Arc("P1", "t1", Multiset(["x"])), Arc("t1", "P1", Multiset(["x"])),
-          Arc("t1", "P1", Multiset(["x"]))), "arc t1->P1"),
+          Arc("t1", "P1", Multiset(["x"]))), "arc t1->P1: duplicate arc"),
         # one weight object for both, as the net-file reader gives a repeated weight text
-        ((Arc("P1", "t1", Multiset(["x"])),) * 2, "arc P1->t1"),
-        # every input arc is checked before any output arc
-        ((Arc("t1", "P1", Multiset(["x"])),) * 2 + (Arc("P1", "t1", Multiset(["x"])),) * 2, "arc P1->t1"),
-    ], ids=["inputs-differ", "outputs-equal", "inputs-one-weight", "inputs-first"])
-    def test_duplicate_arc_is_a_value_error_in_use(self, arcs, label):
-        # analyses of an unvalidated net report the arc that validate_net reports
-        net = Net("dup", ("x", "y"), (Place("P1", 1),), (Transition("t1"),), arcs,
+        ((Arc("P1", "t1", Multiset(["x"])),) * 2, "arc P1->t1: duplicate arc"),
+        # every duplicate is reported, in arc order
+        ((Arc("t1", "P1", Multiset(["x"])),) * 2 + (Arc("P1", "t1", Multiset(["x"])),) * 2,
+         "arc t1->P1: duplicate arc; arc P1->t1: duplicate arc"),
+        # arcs an analysis once gave a meaning of its own: a sink, none, a
+        # color added to the net, a token needed but none called
+        ((Arc("P1", "t1", Multiset(["x"])), Arc("t1", "P9", Multiset(["x"]))),
+         "arc t1->P9: unknown target 'P9'"),
+        ((Arc("P1", "t1", Multiset(["x"])), Arc("P1", "P2", Multiset(["x"])),
+          Arc("t1", "t1", Multiset(["x"]))),
+         "arc P1->P2: endpoints must pair one place with one transition; "
+         "arc t1->t1: endpoints must pair one place with one transition"),
+        ((Arc("P1", "t1", Multiset(["x"])), Arc("t1", "P2", Multiset(["q"]))),
+         "arc t1->P2: weight uses undeclared color 'q'"),
+        ((Arc("P1", "t1", Multiset()), Arc("t1", "P2", Multiset(["x"]))),
+         "arc P1->t1: weight expression is empty"),
+    ], ids=["inputs-differ", "outputs-equal", "inputs-one-weight", "arc-order",
+            "sink", "dropped", "undeclared-color", "empty-weight"])
+    def test_malformed_arc_is_a_value_error_in_use(self, arcs, message):
+        # analyses of an unvalidated net report what validate_net reports
+        net = Net("arcs", ("x", "y"), (Place("P1", 1), Place("P2", -1)), (Transition("t1"),), arcs,
                   Marking({"P1": ["x", "y"]}))
-        assert f"{label}: duplicate arc" in validate_net(net)
-        for use in (lambda: net.compiled, lambda: incidence_matrix(net),
-                    lambda: fire(net, net.initial_marking, "t1", {})):
-            with pytest.raises(ValueError, match=f"^{label}: duplicate arc$"):
+        assert "; ".join(validate_net(net)) == message
+        m = net.initial_marking
+        for use in (lambda: net.compiled, lambda: incidence_matrix(net), lambda: fire(net, m, "t1", {}),
+                    lambda: enabled_set(net, m, {}), lambda: reachability_graph(net, m, {}, 2, 10),
+                    lambda: check_reachability_condition(net, m, m, 1)):
+            with pytest.raises(ValueError) as exc:
                 use()
+            assert str(exc.value) == message
 
     def test_duplicate_place_is_a_value_error_in_use(self):
         # the net of the state-equation example with P1 declared twice: every
@@ -202,6 +279,20 @@ class TestValidateNet:
     @given(net=nets())
     def test_generated_nets_valid(self, net):
         assert validate_net(net) == []
+
+    @given(net=damaged_nets())
+    def test_analyses_share_one_definition_of_well_formed(self, net):
+        # every analysis refuses exactly the nets validate_net rejects, with its text
+        message = "; ".join(validate_net(net))
+        m = net.initial_marking
+        for use in (lambda: net.compiled, lambda: incidence_matrix(net), lambda: enabled_set(net, m, {}),
+                    lambda: reachability_graph(net, m, {}, 2, 20)):
+            if message:
+                with pytest.raises(ValueError) as exc:
+                    use()
+                assert str(exc.value) == message
+            else:
+                use()
 
 
 class TestMarking:
