@@ -120,47 +120,64 @@ def check_reachability_condition(net: Net, m0: Marking, md: Marking,
     witness only certifies the necessary condition; absence certifies
     unreachability only up to the bound.  Guards are ignored: this is pure algebra.
 
-    Candidates are tested by running residuals, Md - M0 - A*X per slot of the
-    compiled net, which each step updates by the columns of `CompiledNet.delta`
-    whose counts change.
+    Candidates are tested on one packed residual, Md - M0 - A*X over the
+    slots some column of `CompiledNet.delta` touches (`_least_solution`).
     """
     max_total_firings = index(max_total_firings)
     if max_total_firings < 0:
         raise ValueError("max_total_firings must be nonnegative")
     view = net.compiled
     resid = [b - a for a, b in zip(view.encode(m0), view.encode(md))]
-    touched = {slot for column in view.delta for slot, _ in column}
-    if any(d and slot not in touched for slot, d in enumerate(resid)):
-        return None  # no firing changes that count
     return _least_solution(view.delta, max_total_firings, resid)
 
 
 def _least_solution(columns: Sequence[Sequence[tuple[int, int]]], budget: int,
-                    resid: list[int]) -> tuple[int, ...] | None:
+                    resid: Sequence[int]) -> tuple[int, ...] | None:
     """The lexicographically least count vector with at most `budget` firings
-    that takes every residual to zero, count j firing column `columns[j]`.
+    that takes every residual to zero, count j firing column `columns[j]`;
+    None at once when a residual is nonzero at a slot no column touches.
 
     An odometer, the last count turning fastest: while firings are `left`, the
     last count goes up by one; else the last nonzero count (`last`) goes back
     to zero and the one before it up by one.  No step builds a tuple, a
-    closure or a frame."""
+    closure or a frame.
+
+    The residuals are one int: a `w`-bit field per touched slot, holding the
+    slot's residual plus 2**(w-1).  No residual leaves +-span, span =
+    max|resid| + budget * max|d| over the column entries d, and `w` is the
+    fewest bits that hold +-span, so no candidate carries across a field: a
+    step is one big-int subtraction, a reset one addition, and the solution
+    test one comparison with `zero`, every field at 2**(w-1).  A step's cost
+    grows with the touched slots, not with the slots its column changes, so
+    a list of residuals is faster past about 500 touched slots (1.9 times at
+    1,201); every bundled model has at most 24.
+    """
+    touched = {slot for column in columns for slot, _ in column}
+    if any(d and slot not in touched for slot, d in enumerate(resid)):
+        return None  # no firing changes that count
+    span = max(map(abs, resid), default=0) + budget * max(
+        (abs(d) for column in columns for _, d in column), default=0)
+    w = span.bit_length() + 1
+    shift = {slot: w * i for i, slot in enumerate(sorted(touched))}
+    bias = 1 << w - 1
+    zero = sum(bias << s for s in shift.values())
+    packed = [sum(d << shift[slot] for slot, d in column) for column in columns]
+    r = zero + sum(resid[slot] << s for slot, s in shift.items())
     counts = [0] * len(columns)
-    left, last = budget, -1
-    while any(resid):
+    left, last, top = budget, -1, len(columns) - 1
+    while r != zero:
         if left:
-            j = last = len(columns) - 1
+            j = last = top
         elif last > 0:
             c, counts[last] = counts[last], 0
             left += c
-            for slot, d in columns[last]:
-                resid[slot] += c * d
+            r += c * packed[last]
             j = last = last - 1
         else:
             return None
         counts[j] += 1
         left -= 1
-        for slot, d in columns[j]:
-            resid[slot] -= d
+        r -= packed[j]
     return tuple(counts)
 
 

@@ -30,7 +30,7 @@ from operator import ge
 from typing import Callable, Sequence
 
 from .expr import compile_guard
-from .model import MODES, Environment, Marking, Net, validate_net
+from .model import MODES, Environment, Marking, Net
 from .multiset import Multiset
 
 
@@ -62,7 +62,9 @@ class CompiledNet:
     (each sums to <= 0: yA <= 0 for y = 1, Murata 1989, section V), so no
     count ever exceeds a marking's token total.  Only a net that
     `validate_net` accepts compiles: any other is a ValueError of its
-    violations, joined by "; ".
+    violations (`Net.violations`), joined by "; ".  So is a net with a
+    hand-built guard that is not a guard tree, the error naming its
+    transition.
 
     The view holds the net's ids but not the net, so caching it on the `Net`
     makes no reference cycle.
@@ -72,7 +74,7 @@ class CompiledNet:
                  "delta", "spans", "guards", "tests", "peak", "rise", "conserves")
 
     def __init__(self, net: Net):
-        violations = validate_net(net)
+        violations = net.violations
         if violations:
             raise ValueError("; ".join(violations))
         self.place_ids = net.place_ids
@@ -103,7 +105,13 @@ class CompiledNet:
                     delta[base[place] + column[color]] += n
             self.delta.append(tuple((s, d) for s, d in sorted(delta.items()) if d))
             self.spans.append(tuple(spans))
-        self.guards = tuple(compile_guard(t.guard) for t in net.transitions)
+        guards = []
+        for t in net.transitions:
+            try:
+                guards.append(compile_guard(t.guard))
+            except TypeError as exc:  # a hand-built tree that is not a guard
+                raise ValueError(f"transition {t.id!r}: {exc}") from None
+        self.guards = tuple(guards)
         self.peak = max((n for spans in self.spans for _, counts in spans for n in counts), default=0)
         self.rise = max((d for column in self.delta for _, d in column if d > 0), default=0)
         self.conserves = all(sum(d for _, d in column) <= 0 for column in self.delta)

@@ -9,9 +9,10 @@ firing policy, so `Net` stores them as ordered tuples.
 Nets are immutable after construction and safe to share between concurrent
 analyses; `Marking` is a value type (operations return new markings).
 Structural rules are checked by `validate_net`, which reports violations
-instead of raising, so partially-built nets can be diagnosed.  A `Net` is
-plain data; its arcs are grouped per transition only in `Net.compiled`,
-which refuses a net `validate_net` rejects, so every analysis does.
+instead of raising, so partially-built nets can be diagnosed; each net is
+walked once (`Net.violations`).  A `Net` is plain data; its arcs are grouped
+per transition only in `Net.compiled`, which refuses a net `validate_net`
+rejects, so every analysis does.
 """
 
 from __future__ import annotations
@@ -111,6 +112,12 @@ class Net(Record):
             raise KeyError(f"unknown transition {tid!r}") from None
 
     @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """`validate_net`'s messages, found on first use: every well-formedness
+        check of a net, by `load_net` or when it compiles, reads this one walk."""
+        return tuple(_violations(self))
+
+    @cached_property
     def compiled(self):
         """The net over integer (place, color) slots (`core.CompiledNet`), built
         on first use: runs that never need it do not pay to load `core`.  A
@@ -120,15 +127,21 @@ class Net(Record):
 
 
 def validate_net(net: Net) -> list[str]:
-    """Check every structural rule; returns one message per violation.
+    """Check every structural rule; returns one message per violation, in a
+    new list each call (the walk runs once per net: `Net.violations`).
 
     An empty list means the net is well-formed: identifiers are legal and
     unique, arcs are bipartite and unduplicated, every weight and marking
     refers only to declared colors and places.  A color, id or arc end that
     is not a string is illegal or unknown, and joins no duplicate check.
-    Guard trees are not walked: a malformed hand-built one is the
-    `TypeError` raised when a net that passes compiles.
+    Guard trees are not walked: a net with a malformed hand-built one
+    passes, and compiling it raises a `ValueError` naming the transition.
     """
+    return list(net.violations)
+
+
+def _violations(net: Net) -> list[str]:
+    """The walk behind `Net.violations`."""
     violations: list[str] = []
 
     seen_colors = set()

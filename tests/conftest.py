@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from orbitpn import models
+
+# `pytest --hypothesis-profile witness-1000`: a run that draws 1,000 examples
+# a property, as CI does for the witness differential properties
+settings.register_profile("witness-1000", max_examples=1000, deadline=None)
 
 
 @pytest.fixture(scope="session")

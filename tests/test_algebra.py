@@ -37,7 +37,7 @@ from orbitpn.expr import compile_guard
 from orbitpn.model import MODES
 from orbitpn.netfile import load_net
 import reference
-from strategies import live_nets, nets, replace_net
+from strategies import live_nets, near_widths, nets, replace_net
 
 sm = SignedMultiset
 
@@ -405,6 +405,72 @@ class TestReachabilityCondition:
         expected = reference.state_equation_witness(net, m0, md, bound)
         event("no witness" if expected is None else "witness")
         assert check_reachability_condition(net, m0, md, bound) == expected
+
+    @given(net=nets(max_places=3, max_transitions=3, max_colors=2), big=near_widths, data=st.data())
+    def test_agrees_with_recursive_search_at_the_field_edges(self, net, big, data):
+        """The packed residual against `reference.state_equation_witness` at
+        the edges of its fields.  Some arc weights grow by a count near a
+        power of two (`near_widths`), and the target moves some slots from
+        A*X by B * max|d| or by a power of two around it, give or take one,
+        so that |Md - M0| lies near B * max|d| and past it."""
+        net = replace_net(net, arcs=tuple(
+            Arc(a.source, a.target, Multiset({c: n + big * data.draw(st.booleans())
+                                              for c, n in a.weight.items()}))
+            for a in net.arcs))
+        bound = data.draw(st.integers(0, 3))
+        entries = reference.incidence_entries(net)
+        reach = bound * max((abs(n) for row in entries for e in row for _, n in e.items()), default=0)
+        edges = [reach, 1 << reach.bit_length(), 2 << reach.bit_length()]
+        n = len(net.transitions)
+        x, left = [0] * n, bound + data.draw(st.sampled_from((0, 1)))
+        for j in range(n):
+            x[j] = data.draw(st.integers(0, left))
+            left -= x[j]
+        m0, md = {}, {}
+        for p, row in zip(net.place_ids, entries):
+            change = {}
+            for c in net.colors:
+                change[c] = sum(k * e.coefficient(c) for e, k in zip(row, x))
+                if data.draw(st.booleans()):
+                    change[c] += data.draw(st.sampled_from((1, -1))) * (
+                        data.draw(st.sampled_from(edges)) + data.draw(st.integers(-1, 1)))
+            base = {c: data.draw(st.integers(0, 1)) + max(0, -d) for c, d in change.items()}
+            m0[p] = Multiset(base)
+            md[p] = Multiset({c: base[c] + d for c, d in change.items()})
+        m0, md = Marking(m0), Marking(md)
+        expected = reference.state_equation_witness(net, m0, md, bound)
+        event("no witness" if expected is None else "witness")
+        assert check_reachability_condition(net, m0, md, bound) == expected
+
+    @pytest.mark.parametrize("arcs, m0, md, bound, witness", [
+        # Md - M0 is +-2**v at P0 and -+1 at P1, the field above it, where
+        # v = (B * k).bit_length() + 1 is the width of a field sized for
+        # B * k alone; t moves k tokens between them, so P0 reaches +-span
+        # at X = (B,)
+        ((("P0", "t", 1), ("t", "P1", 1)), {"P1": 1}, {"P0": 2}, 0, None),
+        ((("P1", "t", 1), ("t", "P0", 1)), {"P0": 2}, {"P1": 1}, 0, None),
+        ((("P0", "t", 5), ("t", "P1", 5)), {"P1": 1}, {"P0": 32}, 3, None),
+        ((("P1", "t", 5), ("t", "P0", 5)), {"P0": 32}, {"P1": 1}, 3, None),
+        ((("P0", "t", 129), ("t", "P1", 129)), {"P1": 1}, {"P0": 1024}, 2, None),
+        # Md - M0 is +-k at P0; `a` moves P0 by k a firing away from zero, to
+        # +-span at X = (B, 0), and `b` moves P1 by k the other way
+        ((("P0", "a", 1), ("b", "P1", 1)), {}, {"P0": 1}, 8, None),
+        ((("a", "P0", 1), ("P1", "b", 1)), {"P0": 1}, {}, 8, None),
+        ((("P0", "a", 3), ("b", "P1", 3)), {}, {"P0": 3}, 16, None),
+        # span 0: Md = M0 at bound 0, or a net whose firings change nothing
+        ((("P0", "a", 1), ("a", "P1", 1)), {"P0": 1}, {"P0": 1}, 0, (0,)),
+        ((("P0", "a", 1), ("a", "P0", 1)), {"P0": 1}, {"P0": 1}, 3, (0,)),
+    ])
+    def test_residual_at_plus_or_minus_span(self, arcs, m0, md, bound, witness):
+        """Targets that take a residual to exactly +-span = +-(max|Md - M0| +
+        B * max|d|), where a field sized for less would carry into the next
+        one."""
+        ids = sorted({end for arc in arcs for end in arc[:2] if not end.startswith("P")})
+        net = Net("edge", ("x",), (Place("P0", 1), Place("P1", 1)), tuple(map(Transition, ids)),
+                  tuple(Arc(a, b, Multiset({"x": k})) for a, b, k in arcs))
+        m0, md = (Marking({p: {"x": n} for p, n in m.items()}) for m in (m0, md))
+        assert reference.state_equation_witness(net, m0, md, bound) == witness
+        assert check_reachability_condition(net, m0, md, bound) == witness
 
     def test_more_transitions_than_the_recursion_limit(self, fan_path):
         net = load_net(fan_path)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from orbitpn import (
     AndExpr,
     Arc,
+    Comparison,
     Marking,
     Multiset,
     Net,
@@ -16,6 +17,7 @@ from orbitpn import (
     Place,
     SignedMultiset,
     Transition,
+    VarRef,
     apply_state_equation,
     check_reachability_condition,
     enabled_set,
@@ -26,6 +28,7 @@ from orbitpn import (
     simulate,
     validate_net,
 )
+from orbitpn import model
 from reference import arcs_by_transition, dataclass_twin, tally
 from strategies import guards, live_nets, nets, replace_net
 
@@ -259,22 +262,37 @@ class TestValidateNet:
             with pytest.raises(ValueError, match="^place 'P1': duplicate id$"):
                 use()
 
-    def test_malformed_guard_is_a_type_error_in_use(self):
+    @pytest.mark.parametrize("guard", [NumLit(1.0), Comparison("~", VarRef("a"), NumLit(1.0))],
+                             ids=["number", "operator"])
+    def test_malformed_guard_is_a_value_error_in_use(self, guard):
         # a hand-built tree that is not a guard is refused when the net is
-        # compiled, also by analyses that never evaluate a guard; a duplicate
-        # arc is still reported before it
-        net = Net("bad_guard", ("x",), (Place("P1", 1),), (Transition("t1", NumLit(1.0)),),
+        # compiled, also by analyses that never evaluate a guard, with the
+        # ValueError every other malformed net gets; validate_net does not
+        # walk guards, and a duplicate arc is still reported before it
+        net = Net("bad_guard", ("x",), (Place("P1", 1),), (Transition("t0"), Transition("t1", guard)),
                   (Arc("P1", "t1", Multiset(["x"])), Arc("t1", "P1", Multiset(["x"]))),
                   Marking({"P1": ["x"]}))
+        assert validate_net(net) == []
         m = net.initial_marking
         for use in (lambda: incidence_matrix(net), lambda: check_reachability_condition(net, m, m, 1),
                     lambda: reachability_graph(net, m, {}, 2, 10)):
-            with pytest.raises(TypeError) as exc:
+            with pytest.raises(ValueError) as exc:
                 use()
-            assert str(exc.value) == "not a guard expression: NumLit(value=1.0)"
+            assert str(exc.value) == f"transition 't1': not a guard expression: {guard!r}"
         dup = replace_net(net, arcs=net.arcs + net.arcs[:1])
         with pytest.raises(ValueError, match="^arc P1->t1: duplicate arc$"):
             incidence_matrix(dup)
+
+    def test_loaded_net_is_walked_once(self, monkeypatch):
+        # load_net validates the net; its first analysis reads that result
+        # instead of walking the net again
+        net = models.load("debris_disposal")  # load_net, and a net of its own
+        walks = []
+        monkeypatch.setattr(model, "_violations", lambda net: walks.append(net) or [])
+        incidence_matrix(net)
+        assert walks == []
+        assert validate_net(net) == [] and validate_net(net) is not validate_net(net)
+        assert validate_net(replace_net(net)) == [] and len(walks) == 1  # a new net is walked
 
     @given(net=nets())
     def test_generated_nets_valid(self, net):
