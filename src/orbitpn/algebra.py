@@ -17,6 +17,7 @@ adds an integer column.  The incidence matrix shows those columns.
 
 from __future__ import annotations
 
+from itertools import repeat
 from operator import index
 from typing import TYPE_CHECKING, Sequence
 
@@ -210,7 +211,10 @@ class ReachabilityGraph(Record):
     truncated: bool
 
     def index_of(self, m: Marking) -> int | None:
-        return self.nodes.index(m) if m in self.nodes else None
+        try:
+            return self.nodes.index(m)
+        except ValueError:
+            return None
 
 
 def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
@@ -220,10 +224,11 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     Nodes appear in breadth-first discovery order (transitions tried in
     declaration order), so the result is deterministic.  Exploration stops at
     `max_depth` firings or `max_states` distinct markings; `truncated` is set
-    when either bound actually cut the search short.
+    when either bound actually cut the search short.  Every marking computed
+    is at most min(max_depth, max_states) firings from `m0`.
 
-    The search runs over the packed markings of the compiled net
-    (`CompiledNet.explore`); nodes become `Marking`s once, at the end.
+    The search runs level by level over packed markings, each node's moves
+    read off `CompiledNet.moves`; nodes become `Marking`s once, at the end.
     """
     max_depth, max_states = index(max_depth), index(max_states)
     if max_depth < 0 or max_states < 1:
@@ -231,5 +236,35 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     check_mode(mode)
     view = net.compiled
     live = view.live(env)
-    nodes, depths, edges, deadlocks, truncated = view.explore(m0, live, mode, max_depth, max_states)
-    return ReachabilityGraph(tuple(nodes), tuple(depths), tuple(edges), tuple(deadlocks), truncated)
+    start, size = view.pack(view.encode(m0), min(max_depth, max_states))
+    moves = view.moves(live, mode, size)
+    nodes, found = [start], {start: 0}  # the packed markings, and each one's index
+    depths: list[int] = []  # filled a level at a time
+    edges, deadlocks, truncated = [], [], False  # edges: (source, transition id, target)
+    room = max_states - 1  # nodes that may still be added
+    depth, end = -1, 0  # the level being walked, and the index past it
+    add_node, add_edge, seen = nodes.append, edges.append, found.get
+    for i, m in enumerate(nodes):  # nodes grows while it is walked
+        if i == end:  # the first node of the next level: all of it is found
+            depth, end = depth + 1, len(nodes)
+            depths += repeat(depth, end - i)
+        options = moves(m)
+        if not options:
+            deadlocks.append(i)
+            continue
+        if depth >= max_depth:
+            truncated = True  # frontier had live transitions beyond the depth bound
+            continue
+        for t, delta in options:
+            after = m + delta
+            j = seen(after)
+            if j is None:
+                if not room:
+                    truncated = True
+                    continue
+                room -= 1
+                j = found[after] = len(nodes)
+                add_node(after)
+            add_edge((i, t, j))
+    return ReachabilityGraph(tuple(view.decode(nodes, size)), tuple(depths), tuple(edges),
+                             tuple(deadlocks), truncated)

@@ -13,9 +13,10 @@ The fields are sized from the marking (`pack`): when no firing adds tokens,
 as in every bundled model, by at most its token total.  So the search and
 the firing loops share one size and one list of token tests, unless the
 marking's largest count and its total need different widths.  As in
-explicit-state generators (K. Wolf, ICATPN 2007), work is local: the BFS
-memoises a token test on its input places' fields.  A marking is unpacked
-only for output, every place read from its own fields.
+explicit-state generators (K. Wolf, ICATPN 2007), work is local: the
+successor function (`moves`) memoises a token test on its input places'
+fields.  A marking is unpacked only for output, every place read from its
+own fields.
 
 `Net.compiled` builds a `CompiledNet` on first use, and only of a net that
 `validate_net` accepts.  `engine` and `algebra` import this module as they
@@ -25,7 +26,7 @@ load; `opn validate` never loads it.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import ge
 from typing import Callable, Sequence
 
@@ -236,64 +237,29 @@ class CompiledNet:
             return f"{what} at {place!r}: arc calls {called}, place holds {holds}"
         return None
 
-    def explore(self, start: Marking, live: Sequence[int], mode: str,
-                max_depth: int, max_states: int):
-        """Breadth-first search from `start` firing only the transitions `live`.
-
-        Returns (nodes, depths, edges, deadlocks, truncated) as
-        `algebra.reachability_graph` defines them.  Nodes are under max_states
-        firings deep, and expanded only above max_depth, so every marking
-        computed is at most min(max_depth, max_states) firings from `start`.
+    def moves(self, live: Sequence[int], mode: str, size: int) -> Callable[[int], list[tuple[str, int]]]:
+        """The successor function: from a marking packed at `size` bytes a
+        field to the moves (transition id, packed delta column) of the `live`
+        transitions whose token tests hold there, in `live` order, whatever
+        order the markings come in.  No guard is read.
 
         `live` is cut into maximal runs of consecutive transitions that read
         the same input places.  The `token_tests` of a run's transitions read
         only those places' fields (`mask`): no subset-mode borrow leaves its
         field, and the exact spans lie within `mask`.  So a run's moves at `m`
-        are memoised under `m & mask`, in a memo built for this call only.
-        Nodes are found level by level, so the depths are read off the level
-        boundaries.  The nodes are decoded once, at the end.
+        are memoised under `m & mask`, in a memo this function alone holds.
         """
-        m0, size = self.pack(self.encode(start), min(max_depth, max_states))
         place = (1 << 8 * size * self.width) - 1  # the fields of the first place
         tests = self.token_tests(mode, size)
         runs = [(sum(place << 8 * size * lo for lo in reads), [tests[k] for k in run], {})
                 for reads, run in groupby(live, lambda k: {lo for lo, _ in self.spans[k]})]
-        nodes: list[int] = [m0]
-        depths: list[int] = []  # filled a level at a time
-        index: dict[int, int] = {m0: 0}
-        edges: list[tuple[int, str, int]] = []
-        deadlocks: list[int] = []
-        truncated = False
-        room = max_states - 1  # nodes that may still be added
-        depth, end = -1, 0  # the level being walked, and the index past it
-        add_node, add_edge, seen = nodes.append, edges.append, index.get
 
-        for i, m in enumerate(nodes):  # nodes grows while it is walked
-            if i == end:  # the first node of the next level: all of it is found
-                depth, end = depth + 1, len(nodes)
-                depths += repeat(depth, end - i)
+        def successors(m: int) -> list[tuple[str, int]]:
             options = []
             for mask, run, memo in runs:
-                key = m & mask
-                moves = memo.get(key)
-                if moves is None:
-                    moves = memo[key] = [move for test in run if (move := test(key))]
-                options += moves
-            if not options:
-                deadlocks.append(i)
-                continue
-            if depth >= max_depth:
-                truncated = True  # frontier had live transitions beyond the depth bound
-                continue
-            for t, delta in options:
-                after = m + delta
-                j = seen(after)
-                if j is None:
-                    if not room:
-                        truncated = True
-                        continue
-                    room -= 1
-                    j = index[after] = len(nodes)
-                    add_node(after)
-                add_edge((i, t, j))
-        return self.decode(nodes, size), depths, edges, deadlocks, truncated
+                found = memo.get(key := m & mask)
+                if found is None:
+                    found = memo[key] = [move for test in run if (move := test(key))]
+                options += found
+            return options
+        return successors

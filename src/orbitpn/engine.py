@@ -101,8 +101,7 @@ def enabled_set(net: Net, m: Marking, env: Environment, mode: str = "subset") ->
     view = net.compiled
     live = view.live(env)
     packed, size = view.pack(view.encode(m))
-    tests = view.token_tests(mode, size)
-    return [view.transition_ids[k] for k in live if tests[k](packed)]
+    return [t for t, _ in view.moves(live, mode, size)(packed)]
 
 
 def fire_sequence(net: Net, m0: Marking, seq: Sequence[str],

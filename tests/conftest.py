@@ -4,7 +4,7 @@ from hypothesis import settings
 from orbitpn import models
 
 # `pytest --hypothesis-profile witness-1000`: a run that draws 1,000 examples
-# a property, as CI does for the witness differential properties
+# a property, as CI does for its differential properties
 settings.register_profile("witness-1000", max_examples=1000, deadline=None)
 
 

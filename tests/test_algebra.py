@@ -481,11 +481,16 @@ class TestReachabilityCondition:
         assert check_reachability_condition(net, m0, moved, 1) == (0,) * (n - 1) + (1,)
 
 
-def test_calls_leave_no_cyclic_garbage(debris_net):
+def test_calls_leave_no_cyclic_garbage(debris_net, debris_env):
     """What these calls make is freed by reference counting alone: no cycle is
-    left for the collector, so a long run of them does not grow memory."""
+    left for the collector, so a long run of them does not grow memory.  The
+    successor function (`CompiledNet.moves`) holds no reference back to
+    itself."""
     m0, guard = debris_net.initial_marking, parse_guard("a > 1 and not (b < 2 or c - 1 == d)")
     calls = {
+        **{f"reachability_graph {mode}": lambda mode=mode: reachability_graph(
+            debris_net, m0, debris_env, 5, 100, mode) for mode in MODES},
+        "enabled_set": lambda: enabled_set(debris_net, m0, debris_env),
         "witness found": lambda: check_reachability_condition(
             debris_net, m0, Marking({"P1": ["S"]}), 6),
         "no witness": lambda: check_reachability_condition(
@@ -574,8 +579,8 @@ def moves_net(name, start, *moves):
                tuple(map(Transition, tids)), tuple(arcs), Marking(start))
 
 
-#: nets whose transitions form runs of the BFS token test
-#: (`CompiledNet.explore`): a run is the longest stretch of consecutive
+#: nets whose transitions form runs of the successor function
+#: (`CompiledNet.moves`): a run is the longest stretch of consecutive
 #: transitions that read the same input places, memoised on those places
 RUN_NETS = {
     # t1 and t3 read P1 but form two runs, split by t2 on P2: the moves
@@ -657,6 +662,23 @@ class TestReachabilityGraph:
         net = RUN_NETS[name]
         for max_depth, max_states in itertools.product((0, 1, 2, 3, 100), range(1, 18)):
             assert_same_graph(net, net.initial_marking, {}, max_depth, max_states, mode)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @given(case=live_nets() | st.sampled_from([(RUN_NETS[name], {}) for name in sorted(RUN_NETS)]),
+           data=st.data())
+    def test_moves_in_any_order(self, mode, case, data):
+        # one successor function applied to the graph's markings in a drawn
+        # order, not the BFS's: whatever its memo already holds, each
+        # marking's moves are those of the token tests of `live`, in order
+        net, env = case
+        view, max_depth = net.compiled, 4
+        graph = reachability_graph(net, net.initial_marking, env, max_depth, 60, mode)
+        _, size = view.pack(view.encode(net.initial_marking), max_depth)  # the graph's fields
+        live, tests = view.live(env), view.token_tests(mode, size)
+        moves = view.moves(live, mode, size)
+        packed = [sum(view.share(p, ms, size) for p, ms in node.items()) for node in graph.nodes]
+        for m in data.draw(st.permutations(packed)):
+            assert moves(m) == [move for k in live if (move := tests[k](m))]
 
     @pytest.mark.parametrize("mode", MODES)
     def test_marking_outside_the_net(self, swap_net, mode):
