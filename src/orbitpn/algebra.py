@@ -17,7 +17,6 @@ adds an integer column.  The incidence matrix shows those columns.
 
 from __future__ import annotations
 
-from itertools import repeat
 from operator import index
 from typing import TYPE_CHECKING, Sequence
 
@@ -239,20 +238,16 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
     start, size = view.pack(view.encode(m0), min(max_depth, max_states))
     moves = view.moves(live, mode, size)
     nodes, found = [start], {start: 0}  # the packed markings, and each one's index
-    depths: list[int] = []  # filled a level at a time
+    depths = [0]  # each node's, set as the node is found
     edges, deadlocks, truncated = [], [], False  # edges: (source, transition id, target)
     room = max_states - 1  # nodes that may still be added
-    depth, end = -1, 0  # the level being walked, and the index past it
-    add_node, add_edge, seen = nodes.append, edges.append, found.get
+    add_node, add_depth, add_edge, seen = nodes.append, depths.append, edges.append, found.get
     for i, m in enumerate(nodes):  # nodes grows while it is walked
-        if i == end:  # the first node of the next level: all of it is found
-            depth, end = depth + 1, len(nodes)
-            depths += repeat(depth, end - i)
         options = moves(m)
         if not options:
             deadlocks.append(i)
             continue
-        if depth >= max_depth:
+        if (depth := depths[i]) >= max_depth:
             truncated = True  # frontier had live transitions beyond the depth bound
             continue
         for t, delta in options:
@@ -265,6 +260,7 @@ def reachability_graph(net: Net, m0: Marking, env: Environment, max_depth: int,
                 room -= 1
                 j = found[after] = len(nodes)
                 add_node(after)
+                add_depth(depth + 1)
             add_edge((i, t, j))
     return ReachabilityGraph(tuple(view.decode(nodes, size)), tuple(depths), tuple(edges),
                              tuple(deadlocks), truncated)

@@ -8,11 +8,11 @@ firing policy, so `Net` stores them as ordered tuples.
 
 Nets are immutable after construction and safe to share between concurrent
 analyses; `Marking` is a value type (operations return new markings).
-Structural rules are checked by `validate_net`, which reports violations
-instead of raising, so partially-built nets can be diagnosed; each net is
-walked once (`Net.violations`).  A `Net` is plain data; its arcs are grouped
-per transition only in `Net.compiled`, which refuses a net `validate_net`
-rejects, so every analysis does.
+Structural rules are checked by one walk per net, `Net.violations`, which
+reports violations instead of raising (`validate_net` lists them), so
+partially-built nets can be diagnosed.  A `Net` is plain data; its arcs
+are grouped per transition only in `Net.compiled`, which refuses a net
+`validate_net` rejects, so every analysis does.
 """
 
 from __future__ import annotations
@@ -113,9 +113,73 @@ class Net(Record):
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
-        """`validate_net`'s messages, found on first use: every well-formedness
-        check of a net, by `load_net` or when it compiles, reads this one walk."""
-        return tuple(_violations(self))
+        """`validate_net`'s messages, found on first use by the one walk that
+        every well-formedness check reads (`load_net`, compiling).  Colors,
+        places and transitions share one naming rule (`named`)."""
+        violations: list[str] = []
+        colors, places, transitions = set(), set(), set()
+
+        def named(kind: str, value, seen: set, repeated: str) -> bool:
+            """Report an illegal `value`, or a string `seen` holds; a string
+            joins `seen`, and only a string gives True."""
+            if not (isinstance(value, str) and IDENT_RE.match(value)):
+                violations.append(f"{kind} {value!r}: not a legal identifier")
+            if not isinstance(value, str):
+                return False
+            if value in seen:
+                violations.append(f"{kind} {value!r}: {repeated}")
+            seen.add(value)
+            return True
+
+        for color in self.colors:
+            named("color", color, colors, "declared more than once")
+        for place in self.places:
+            named("place", place.id, places, "duplicate id")
+            if place.rotation not in (1, -1):
+                violations.append(f"place {place.id!r}: rotation must be +1 or -1, got {place.rotation}")
+        for t in self.transitions:
+            if named("transition", t.id, transitions, "duplicate id") and t.id in places:
+                violations.append(f"transition {t.id!r}: id collides with a place")
+
+        seen_arcs = set()
+        for arc in self.arcs:
+            source = arc.source if isinstance(arc.source, str) else None
+            target = arc.target if isinstance(arc.target, str) else None
+            src_place = source in places
+            src_trans = source in transitions
+            dst_place = target in places
+            dst_trans = target in transitions
+            label = f"arc {arc.source}->{arc.target}"
+            if not (src_place or src_trans):
+                violations.append(f"{label}: unknown source {arc.source!r}")
+            if not (dst_place or dst_trans):
+                violations.append(f"{label}: unknown target {arc.target!r}")
+            if (src_place and dst_place) or (src_trans and dst_trans):
+                violations.append(f"{label}: endpoints must pair one place with one transition")
+            if None not in (source, target):
+                if (source, target) in seen_arcs:
+                    violations.append(f"{label}: duplicate arc")
+                seen_arcs.add((source, target))
+            if not isinstance(arc.weight, Multiset):
+                violations.append(f"{label}: weight {arc.weight!r} is not a multiset")
+                continue
+            if not arc.weight:
+                violations.append(f"{label}: weight expression is empty")
+            for color in arc.weight:
+                if color not in colors:
+                    violations.append(f"{label}: weight uses undeclared color {color!r}")
+
+        marking = self.initial_marking
+        if not isinstance(marking, Marking):  # its places and colors go unread
+            violations.append(f"marking: {marking!r} is not a Marking")
+            marking = Marking()
+        for place, tokens in marking.items():
+            if place not in places:
+                violations.append(f"marking: unknown place {place!r}")
+            for color in tokens:
+                if color not in colors:
+                    violations.append(f"marking at {place!r}: undeclared color {color!r}")
+        return tuple(violations)
 
     @cached_property
     def compiled(self):
@@ -128,87 +192,14 @@ class Net(Record):
 
 def validate_net(net: Net) -> list[str]:
     """Check every structural rule; returns one message per violation, in a
-    new list each call (the walk runs once per net: `Net.violations`).
+    new list each call (`Net.violations` holds the walk, run once per net).
 
     An empty list means the net is well-formed: identifiers are legal and
     unique, arcs are bipartite and unduplicated, every weight and marking
     refers only to declared colors and places.  A color, id or arc end that
-    is not a string is illegal or unknown, and joins no duplicate check.
+    is not a string is illegal or unknown, and joins no duplicate check; a
+    weight that is not a `Multiset`, or a marking not a `Marking`, is not read.
     Guard trees are not walked: a net with a malformed hand-built one
     passes, and compiling it raises a `ValueError` naming the transition.
     """
     return list(net.violations)
-
-
-def _violations(net: Net) -> list[str]:
-    """The walk behind `Net.violations`."""
-    violations: list[str] = []
-
-    seen_colors = set()
-    for color in net.colors:
-        if not (isinstance(color, str) and IDENT_RE.match(color)):
-            violations.append(f"color {color!r}: not a legal identifier")
-        if isinstance(color, str):
-            if color in seen_colors:
-                violations.append(f"color {color!r}: declared more than once")
-            seen_colors.add(color)
-
-    seen_places = set()
-    for place in net.places:
-        if not (isinstance(place.id, str) and IDENT_RE.match(place.id)):
-            violations.append(f"place {place.id!r}: not a legal identifier")
-        if isinstance(place.id, str):
-            if place.id in seen_places:
-                violations.append(f"place {place.id!r}: duplicate id")
-            seen_places.add(place.id)
-        if place.rotation not in (1, -1):
-            violations.append(f"place {place.id!r}: rotation must be +1 or -1, got {place.rotation}")
-
-    seen_transitions = set()
-    for t in net.transitions:
-        if not (isinstance(t.id, str) and IDENT_RE.match(t.id)):
-            violations.append(f"transition {t.id!r}: not a legal identifier")
-        if isinstance(t.id, str):
-            if t.id in seen_transitions:
-                violations.append(f"transition {t.id!r}: duplicate id")
-            if t.id in seen_places:
-                violations.append(f"transition {t.id!r}: id collides with a place")
-            seen_transitions.add(t.id)
-
-    seen_arcs = set()
-    for arc in net.arcs:
-        source = arc.source if isinstance(arc.source, str) else None
-        target = arc.target if isinstance(arc.target, str) else None
-        src_place = source in seen_places
-        src_trans = source in seen_transitions
-        dst_place = target in seen_places
-        dst_trans = target in seen_transitions
-        label = f"arc {arc.source}->{arc.target}"
-        if not (src_place or src_trans):
-            violations.append(f"{label}: unknown source {arc.source!r}")
-        if not (dst_place or dst_trans):
-            violations.append(f"{label}: unknown target {arc.target!r}")
-        if (src_place and dst_place) or (src_trans and dst_trans):
-            violations.append(f"{label}: endpoints must pair one place with one transition")
-        if None not in (source, target):
-            if (source, target) in seen_arcs:
-                violations.append(f"{label}: duplicate arc")
-            seen_arcs.add((source, target))
-        if not isinstance(arc.weight, Multiset):
-            violations.append(f"{label}: weight {arc.weight!r} is not a multiset")
-            continue
-        if not arc.weight:
-            violations.append(f"{label}: weight expression is empty")
-        for color in arc.weight:
-            if color not in seen_colors:
-                violations.append(f"{label}: weight uses undeclared color {color!r}")
-
-    for place, tokens in net.initial_marking.items():
-        if place not in seen_places:
-            violations.append(f"marking: unknown place {place!r}")
-        for color in tokens:
-            if color not in seen_colors:
-                violations.append(f"marking at {place!r}: undeclared color {color!r}")
-
-    return violations
-

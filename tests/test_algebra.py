@@ -485,7 +485,7 @@ def test_calls_leave_no_cyclic_garbage(debris_net, debris_env):
     """What these calls make is freed by reference counting alone: no cycle is
     left for the collector, so a long run of them does not grow memory.  The
     successor function (`CompiledNet.moves`) holds no reference back to
-    itself."""
+    itself, nor does the naming rule of `Net.violations`."""
     m0, guard = debris_net.initial_marking, parse_guard("a > 1 and not (b < 2 or c - 1 == d)")
     calls = {
         **{f"reachability_graph {mode}": lambda mode=mode: reachability_graph(
@@ -499,6 +499,8 @@ def test_calls_leave_no_cyclic_garbage(debris_net, debris_env):
         # call here compiles the source afresh
         "compile_guard": lambda: compile_guard(guard),
         "render_guard": lambda: render_guard(guard),
+        # a fresh net each call: the parse and the well-formedness walk
+        "load_net": lambda: load_net(models.model_path("debris_disposal")),
     }
     for name, call in calls.items():
         call()  # the net compiles on first use

@@ -186,15 +186,60 @@ class TestValidateNet:
          "transition ['t1']: not a legal identifier"),
         ({"arcs": (Arc("P1", "t1", Multiset(["x"])), Arc(["P1"], "t1", Multiset(["x"])))},
          "arc ['P1']->t1: unknown source ['P1']"),
+        # a marking of the wrong type is reported, and its places and colors go unread
+        ({"initial_marking": {"P1": ["x"], "P9": ["z"]}},
+         "marking: {'P1': ['x'], 'P9': ['z']} is not a Marking"),
+        ({"initial_marking": None}, "marking: None is not a Marking"),
     ], ids=["place-id", "transition-id", "duplicate-transition", "arc-target", "weight-color",
             "marking-place", "place-id-int", "place-id-empty", "color-int", "transition-id-int",
             "weight-string", "weight-dict", "color-list", "place-id-list", "transition-id-list",
-            "arc-source-list"])
+            "arc-source-list", "marking-dict", "marking-none"])
     def test_single_violation_text(self, changes, message):
         base = Net("one", ("x",), (Place("P1", 1),), (Transition("t1"),),
                    (Arc("P1", "t1", Multiset(["x"])),), Marking({"P1": ["x"]}))
         assert validate_net(base) == []
-        assert validate_net(replace_net(base, **changes)) == [message]
+        net = replace_net(base, **changes)
+        assert validate_net(net) == [message]
+        with pytest.raises(ValueError) as exc:
+            net.compiled
+        assert str(exc.value) == message
+
+    def test_every_violation_in_order(self):
+        # several faults in every section: the whole list, in the walk's order
+        net = Net(
+            name="faulty",
+            colors=("x", "1y", "x", 5, "y"),
+            places=(Place("P1", 1), Place("P1", 2), Place("2P", -1), Place("P2", 0)),
+            transitions=(Transition("t1"), Transition("t1"), Transition("P2"), Transition("t-2")),
+            arcs=(
+                Arc("P1", "t1", Multiset(["x"])),
+                Arc("P1", "t1", Multiset(["y"])),
+                Arc("P1", "P2", Multiset(["z"])),
+                Arc("t9", "t1", "w"),
+                Arc("t1", "P1", Multiset()),
+            ),
+            initial_marking=Marking({"P1": ["x", "q"], "P9": ["x"]}),
+        )
+        assert validate_net(net) == [
+            "color '1y': not a legal identifier",
+            "color 'x': declared more than once",
+            "color 5: not a legal identifier",
+            "place 'P1': duplicate id",
+            "place 'P1': rotation must be +1 or -1, got 2",
+            "place '2P': not a legal identifier",
+            "place 'P2': rotation must be +1 or -1, got 0",
+            "transition 't1': duplicate id",
+            "transition 'P2': id collides with a place",
+            "transition 't-2': not a legal identifier",
+            "arc P1->t1: duplicate arc",
+            "arc P1->P2: endpoints must pair one place with one transition",
+            "arc P1->P2: weight uses undeclared color 'z'",
+            "arc t9->t1: unknown source 't9'",
+            "arc t9->t1: weight 'w' is not a multiset",
+            "arc t1->P1: weight expression is empty",
+            "marking at 'P1': undeclared color 'q'",
+            "marking: unknown place 'P9'",
+        ]
 
     def test_duplicate_and_empty_arcs(self):
         net = Net(
@@ -288,7 +333,7 @@ class TestValidateNet:
         # instead of walking the net again
         net = models.load("debris_disposal")  # load_net, and a net of its own
         walks = []
-        monkeypatch.setattr(model, "_violations", lambda net: walks.append(net) or [])
+        monkeypatch.setattr(model.Net.violations, "func", lambda net: walks.append(net) or ())
         incidence_matrix(net)
         assert walks == []
         assert validate_net(net) == [] and validate_net(net) is not validate_net(net)
